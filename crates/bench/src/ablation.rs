@@ -5,6 +5,7 @@
 
 use machine_model::{predict, Platform, PlatformId};
 use miniapps::App;
+use portability::{mean, std_dev, Sweep};
 use sycl_sim::{
     tune, AccessProfile, Kernel, KernelFootprint, Precision, Scheme, Session, SessionConfig,
     StencilProfile, SyclVariant, Toolchain,
@@ -155,7 +156,6 @@ pub fn block_size_sweep(platform: PlatformId) -> Vec<(usize, f64)> {
     [32usize, 64, 128, 256, 1024, 4096, 16384]
         .into_iter()
         .map(|block| {
-            let platform_model = Platform::get(platform);
             let stats = op2_dsl::MeshStats::rotor37();
             let lp =
                 op2_dsl::EdgeLoop::new("compute_flux", stats, Scheme::HierColor, Precision::F64)
@@ -172,7 +172,6 @@ pub fn block_size_sweep(platform: PlatformId) -> Vec<(usize, f64)> {
             )
             .unwrap();
             lp.run(&session, None, |_| {});
-            let _ = platform_model;
             (block, session.elapsed())
         })
         .collect()
@@ -194,20 +193,25 @@ pub fn block_size_sweep_text() -> String {
 /// §4.1's consistency statistics: per platform, mean and standard
 /// deviation of the best variant's efficiency over the structured apps.
 pub fn consistency_rows() -> Vec<(PlatformId, f64, f64)> {
-    use portability::{mean, std_dev, structured_measurements};
-    portability::gpu_platforms()
+    consistency_rows_of(&Sweep::measure_on(&portability::all_platforms(), &[]))
+}
+
+/// [`consistency_rows`] computed from `sweep`.
+pub fn consistency_rows_of(sweep: &Sweep) -> Vec<(PlatformId, f64, f64)> {
+    portability::all_platforms()
         .into_iter()
-        .chain(portability::cpu_platforms())
         .map(|p| {
-            let ms = structured_measurements(p);
-            let mut best_per_app: std::collections::HashMap<&str, f64> = Default::default();
-            for m in &ms {
-                if let Some(e) = m.efficiency {
-                    let slot = best_per_app.entry(m.app).or_insert(0.0);
-                    *slot = slot.max(e);
-                }
-            }
-            let effs: Vec<f64> = best_per_app.values().copied().collect();
+            let effs: Vec<f64> = crate::app_names(sweep.structured_on(p))
+                .into_iter()
+                .filter_map(|app| {
+                    crate::best_of(
+                        sweep
+                            .structured_on(p)
+                            .filter(|m| m.app == app)
+                            .filter_map(|m| m.efficiency),
+                    )
+                })
+                .collect();
             (p, mean(&effs), std_dev(&effs))
         })
         .collect()
@@ -215,11 +219,20 @@ pub fn consistency_rows() -> Vec<(PlatformId, f64, f64)> {
 
 /// Render consistency rows with the paper's reference values.
 pub fn consistency_text() -> String {
+    render_consistency(consistency_rows())
+}
+
+/// [`consistency_text`] rendered from `sweep`.
+pub fn consistency_text_of(sweep: &Sweep) -> String {
+    render_consistency(consistency_rows_of(sweep))
+}
+
+fn render_consistency(rows: Vec<(PlatformId, f64, f64)>) -> String {
     let mut out = String::from(
         "## Consistency of best-variant efficiency (paper §4.1: Max 1100 has\n\
          ## the lowest std dev at 11.6%, Xeon next at 11.8%, rest above 17%)\n",
     );
-    for (p, m, s) in consistency_rows() {
+    for (p, m, s) in rows {
         out.push_str(&format!(
             "{:12} mean {:5.1}%  std {:5.1}%\n",
             p.label(),

@@ -1,7 +1,6 @@
 //! Export every measurement of the study (structured + MG-CFD, all
 //! platforms, all variants) as CSV on stdout — for plotting pipelines.
 fn main() {
-    let mut all = bench_harness::all_structured();
-    all.extend(bench_harness::all_mgcfd());
-    print!("{}", portability::write_csv(&all));
+    let sweep = portability::Sweep::measure();
+    print!("{}", portability::write_csv(sweep.units()));
 }

@@ -1,6 +1,4 @@
 //! Regenerates Figure 8: MG-CFD (Rotor37) runtimes on the three GPUs.
 fn main() {
-    for p in portability::gpu_platforms() {
-        println!("{}", bench_harness::figure_mgcfd_text(p));
-    }
+    print!("{}", bench_harness::figure8_text());
 }

@@ -1,6 +1,4 @@
 //! Regenerates Figure 9: MG-CFD (Rotor37) runtimes on the three CPUs.
 fn main() {
-    for p in portability::cpu_platforms() {
-        println!("{}", bench_harness::figure_mgcfd_text(p));
-    }
+    print!("{}", bench_harness::figure9_text());
 }

@@ -13,6 +13,12 @@
 //! | `fig11_efficiency_mgcfd` | Figure 11 — MG-CFD efficiency heatmap |
 //! | `summary_stats` | §4.1–§4.4 in-text aggregates and PP̄ values |
 //!
+//! Every figure and aggregate is a view of one [`Sweep`] of the paper's
+//! 306 units. Each `*_text()` entry point measures what its view needs
+//! and renders it through the matching `*_of(&Sweep)` function;
+//! `regenerate_all` measures one full sweep and renders [`artifacts`]
+//! from it, so one pass measures each unit once.
+//!
 //! The same functions are exercised by the criterion benches in
 //! `benches/figures.rs`, so `cargo bench` regenerates everything too.
 
@@ -21,10 +27,11 @@ pub mod json;
 
 use babelstream::BabelStream;
 use portability::{
-    format_table, mean, pennycook, std_dev, structured_measurements, unstructured_measurements,
-    MeasCell, Measurement,
+    all_platforms, cpu_platforms, format_table, gpu_platforms, mean, measure_structured, pennycook,
+    std_dev, structured_measurements, unstructured_measurements, variants_for, write_csv, MeasCell,
+    Measurement, StudyVariant, Sweep,
 };
-use sycl_sim::{PlatformId, Scheme, Session, SessionConfig, Toolchain};
+use sycl_sim::{quirks::apps, PlatformId, Scheme, Session, SessionConfig, Toolchain};
 
 /// Table 1: (platform, native toolchain, simulated Triad GB/s).
 pub fn table1_rows() -> Vec<(PlatformId, Toolchain, f64)> {
@@ -62,73 +69,150 @@ pub fn table1_text() -> String {
     out
 }
 
+/// Every artifact `regenerate_all` writes, as (file name, text) in
+/// write order. Everything except Table 1 and the four ablation sweeps
+/// is a pure rendering of `sweep`, so one pass measures each paper unit
+/// once.
+pub fn artifacts(sweep: &Sweep) -> Vec<(String, String)> {
+    let mut out = vec![("table1.txt".to_owned(), table1_text())];
+    for p in all_platforms() {
+        out.push((
+            format!("fig_structured_{}.txt", p.label()),
+            figure_structured_text_of(sweep, p),
+        ));
+    }
+    let rendered = [
+        (
+            "fig8_mgcfd_gpu.txt",
+            mgcfd_panels_text(sweep, &gpu_platforms()),
+        ),
+        (
+            "fig9_mgcfd_cpu.txt",
+            mgcfd_panels_text(sweep, &cpu_platforms()),
+        ),
+        ("fig10_efficiency.txt", figure10_text_of(sweep)),
+        ("fig11_efficiency_mgcfd.txt", figure11_text_of(sweep)),
+        ("summary_stats.txt", summary_text_of(sweep)),
+        ("gpu_gaps.txt", gpu_gaps_text_of(sweep)),
+        ("conclusions.txt", conclusions_text_of(sweep)),
+        (
+            "consistency_stats.txt",
+            ablation::consistency_text_of(sweep),
+        ),
+        ("boundary_fractions.txt", boundary_fractions_text_of(sweep)),
+        ("ablation_workgroup.txt", ablation::workgroup_sweep_text()),
+        ("ablation_ordering.txt", ablation::ordering_sweep_text()),
+        ("ablation_cache.txt", ablation::cache_sweep_text()),
+        ("ablation_blocksize.txt", ablation::block_size_sweep_text()),
+        ("measurements.csv", write_csv(sweep.units())),
+    ];
+    out.extend(rendered.map(|(name, text)| (name.to_owned(), text)));
+    out
+}
+
 /// Figures 2–7: structured-app runtime table for one platform.
 pub fn figure_structured_text(platform: PlatformId) -> String {
-    let ms = structured_measurements(platform);
-    render_runtime_table(
+    figure_structured_text_of(&Sweep::measure_on(&[platform], &[]), platform)
+}
+
+/// [`figure_structured_text`] rendered from `sweep`.
+pub fn figure_structured_text_of(sweep: &Sweep, platform: PlatformId) -> String {
+    format_table(
         &format!(
             "Structured-mesh app runtimes on {} (simulated seconds)",
             sycl_sim::Platform::get(platform).name
         ),
-        &ms,
-        |m| m.app,
+        &table_rows(sweep.structured_on(platform), app_key, runtime_cell),
     )
 }
 
 /// Figures 8–9: MG-CFD runtime table for one platform (rows = schemes).
 pub fn figure_mgcfd_text(platform: PlatformId) -> String {
-    let ms = unstructured_measurements(platform);
-    render_runtime_table(
+    figure_mgcfd_text_of(&Sweep::measure_on(&[], &[platform]), platform)
+}
+
+/// [`figure_mgcfd_text`] rendered from `sweep`.
+pub fn figure_mgcfd_text_of(sweep: &Sweep, platform: PlatformId) -> String {
+    format_table(
         &format!(
             "MG-CFD (Rotor37) runtimes on {} (simulated seconds)",
             sycl_sim::Platform::get(platform).name
         ),
-        &ms,
-        |m| m.scheme.map(|s| s.label()).unwrap_or("-"),
+        &table_rows(sweep.mgcfd_on(platform), scheme_key, runtime_cell),
     )
 }
 
-fn render_runtime_table(
-    title: &str,
-    ms: &[Measurement],
-    row_key: impl Fn(&Measurement) -> &'static str,
-) -> String {
+/// Figure 8: the MG-CFD runtime tables of the three GPUs.
+pub fn figure8_text() -> String {
+    let gpus = gpu_platforms();
+    mgcfd_panels_text(&Sweep::measure_on(&[], &gpus), &gpus)
+}
+
+/// Figure 9: the MG-CFD runtime tables of the three CPUs.
+pub fn figure9_text() -> String {
+    let cpus = cpu_platforms();
+    mgcfd_panels_text(&Sweep::measure_on(&[], &cpus), &cpus)
+}
+
+fn mgcfd_panels_text(sweep: &Sweep, platforms: &[PlatformId]) -> String {
+    platforms
+        .iter()
+        .map(|&p| figure_mgcfd_text_of(sweep, p) + "\n")
+        .collect()
+}
+
+fn app_key(m: &Measurement) -> &'static str {
+    m.app
+}
+
+fn scheme_key(m: &Measurement) -> &'static str {
+    m.scheme.map(|s| s.label()).unwrap_or("-")
+}
+
+fn runtime_cell(m: &Measurement) -> MeasCell {
+    match m.runtime {
+        Ok(t) => MeasCell::Seconds(t),
+        Err(k) => MeasCell::Failed(k),
+    }
+}
+
+fn efficiency_cell(m: &Measurement) -> MeasCell {
+    match (m.runtime, m.efficiency) {
+        (Ok(_), Some(e)) => MeasCell::Efficiency(e),
+        (Err(k), _) => MeasCell::Failed(k),
+        _ => MeasCell::Failed(sycl_sim::FailureKind::RuntimeCrash),
+    }
+}
+
+/// Group measurements into table rows by `row_key`, one column per
+/// variant, both in first-seen order.
+fn table_rows<'a>(
+    ms: impl Iterator<Item = &'a Measurement>,
+    row_key: fn(&Measurement) -> &'static str,
+    cell: fn(&Measurement) -> MeasCell,
+) -> Vec<(&'static str, Vec<(String, MeasCell)>)> {
     let mut rows: Vec<(&str, Vec<(String, MeasCell)>)> = Vec::new();
     for m in ms {
-        let key = row_key(m);
-        let cell = match (&m.runtime, m.efficiency) {
-            (Ok(t), _) => MeasCell::Seconds(*t),
-            (Err(k), _) => MeasCell::Failed(*k),
-        };
+        let (key, column) = (row_key(m), (m.variant.label(), cell(m)));
         match rows.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, cells)) => cells.push((m.variant.label(), cell)),
-            None => rows.push((key, vec![(m.variant.label(), cell)])),
+            Some((_, cells)) => cells.push(column),
+            None => rows.push((key, vec![column])),
         }
     }
-    format_table(title, &rows)
+    rows
 }
 
 /// Figure 10: efficiency (fraction of STREAM) per structured app ×
 /// platform × variant.
 pub fn figure10_text() -> String {
+    figure10_text_of(&Sweep::measure_on(&all_platforms(), &[]))
+}
+
+/// [`figure10_text`] rendered from `sweep`.
+pub fn figure10_text_of(sweep: &Sweep) -> String {
     let mut out = String::from("## Figure 10: achieved architectural efficiency (structured)\n");
-    for p in portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-    {
-        let ms = structured_measurements(p);
-        let mut rows: Vec<(&str, Vec<(String, MeasCell)>)> = Vec::new();
-        for m in &ms {
-            let cell = match (&m.runtime, m.efficiency) {
-                (Ok(_), Some(e)) => MeasCell::Efficiency(e),
-                (Err(k), _) => MeasCell::Failed(*k),
-                _ => MeasCell::Failed(sycl_sim::FailureKind::RuntimeCrash),
-            };
-            match rows.iter_mut().find(|(k, _)| *k == m.app) {
-                Some((_, cells)) => cells.push((m.variant.label(), cell)),
-                None => rows.push((m.app, vec![(m.variant.label(), cell)])),
-            }
-        }
+    for p in all_platforms() {
+        let rows = table_rows(sweep.structured_on(p), app_key, efficiency_cell);
         out.push_str(&format_table(p.label(), &rows));
         out.push('\n');
     }
@@ -137,25 +221,14 @@ pub fn figure10_text() -> String {
 
 /// Figure 11: MG-CFD efficiency per platform × variant × scheme.
 pub fn figure11_text() -> String {
+    figure11_text_of(&Sweep::measure_on(&[], &all_platforms()))
+}
+
+/// [`figure11_text`] rendered from `sweep`.
+pub fn figure11_text_of(sweep: &Sweep) -> String {
     let mut out = String::from("## Figure 11: achieved efficiency, MG-CFD (effective BW rule)\n");
-    for p in portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-    {
-        let ms = unstructured_measurements(p);
-        let mut rows: Vec<(&str, Vec<(String, MeasCell)>)> = Vec::new();
-        for m in &ms {
-            let key = m.scheme.map(|s| s.label()).unwrap_or("-");
-            let cell = match (&m.runtime, m.efficiency) {
-                (Ok(_), Some(e)) => MeasCell::Efficiency(e),
-                (Err(k), _) => MeasCell::Failed(*k),
-                _ => MeasCell::Failed(sycl_sim::FailureKind::RuntimeCrash),
-            };
-            match rows.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, cells)) => cells.push((m.variant.label(), cell)),
-                None => rows.push((key, vec![(m.variant.label(), cell)])),
-            }
-        }
+    for p in all_platforms() {
+        let rows = table_rows(sweep.mgcfd_on(p), scheme_key, efficiency_cell);
         out.push_str(&format_table(p.label(), &rows));
         out.push('\n');
     }
@@ -184,53 +257,58 @@ pub struct SummaryStats {
 
 /// Collect every structured measurement across all platforms.
 pub fn all_structured() -> Vec<Measurement> {
-    portability::gpu_platforms()
+    all_platforms()
         .into_iter()
-        .chain(portability::cpu_platforms())
         .flat_map(structured_measurements)
         .collect()
 }
 
 /// Collect every MG-CFD measurement across all platforms.
 pub fn all_mgcfd() -> Vec<Measurement> {
-    portability::gpu_platforms()
+    all_platforms()
         .into_iter()
-        .chain(portability::cpu_platforms())
         .flat_map(unstructured_measurements)
         .collect()
 }
 
+/// The highest of some efficiencies, `None` when there are none.
+fn best_of(effs: impl Iterator<Item = f64>) -> Option<f64> {
+    effs.fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e))))
+}
+
+/// The distinct app names among `ms`, sorted.
+fn app_names<'a>(ms: impl Iterator<Item = &'a Measurement>) -> Vec<&'static str> {
+    let mut v: Vec<&'static str> = ms.map(|m| m.app).collect();
+    v.sort();
+    v.dedup();
+    v
+}
+
 /// Compute the summary statistics.
 pub fn summary_stats() -> SummaryStats {
-    let all = all_structured();
-    let apps: Vec<&str> = {
-        let mut v: Vec<&str> = all.iter().map(|m| m.app).collect();
-        v.sort();
-        v.dedup();
-        v
-    };
-    let platforms: Vec<PlatformId> = portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-        .collect();
+    summary_stats_of(&Sweep::measure())
+}
+
+/// [`summary_stats`] computed from `sweep`.
+pub fn summary_stats_of(sweep: &Sweep) -> SummaryStats {
+    let apps = app_names(sweep.structured());
+    let platforms = all_platforms();
 
     // Best-native efficiency per (app, platform).
     let mut native = Vec::new();
     for &app in &apps {
         for &p in &platforms {
-            let best = all
-                .iter()
-                .filter(|m| m.app == app && m.platform == p && m.variant.is_native())
-                .filter_map(|m| m.efficiency)
-                .fold(f64::NAN, f64::max);
-            if best.is_finite() {
-                native.push(best);
-            }
+            let effs = sweep
+                .structured_on(p)
+                .filter(|m| m.app == app && m.variant.is_native())
+                .filter_map(|m| m.efficiency);
+            native.extend(best_of(effs));
         }
     }
 
     let sycl_effs = |tc: Toolchain, nd: bool| -> Vec<f64> {
-        all.iter()
+        sweep
+            .structured()
             .filter(|m| m.variant.toolchain == tc && m.variant.nd_range == nd)
             .filter_map(|m| m.efficiency)
             .collect()
@@ -241,22 +319,17 @@ pub fn summary_stats() -> SummaryStats {
     let o_fl = sycl_effs(Toolchain::OpenSycl, false);
 
     // PP̄ per app, averaged over apps (failures ignored, §4.4).
-    let pp_for = |tc: Toolchain, nd: bool| -> f64 {
+    let pp_for = |toolchain: Toolchain, nd_range: bool| -> f64 {
+        let variant = StudyVariant {
+            toolchain,
+            nd_range,
+        };
         let per_app: Vec<f64> = apps
             .iter()
             .map(|&app| {
                 let es: Vec<Option<f64>> = platforms
                     .iter()
-                    .map(|&p| {
-                        all.iter()
-                            .find(|m| {
-                                m.app == app
-                                    && m.platform == p
-                                    && m.variant.toolchain == tc
-                                    && m.variant.nd_range == nd
-                            })
-                            .and_then(|m| m.efficiency)
-                    })
+                    .map(|&p| sweep.get(app, p, variant, None).and_then(|m| m.efficiency))
                     .collect();
                 pennycook(&es, true)
             })
@@ -265,36 +338,24 @@ pub fn summary_stats() -> SummaryStats {
     };
 
     // MG-CFD PP̄s.
-    let mg = all_mgcfd();
-    let mg_eff = |p: PlatformId, tc: Toolchain, scheme: Scheme| -> Option<f64> {
-        mg.iter()
-            .filter(|m| m.platform == p && m.variant.toolchain == tc && m.scheme == Some(scheme))
-            .filter_map(|m| m.efficiency)
-            .fold(None, |acc: Option<f64>, e| {
-                Some(acc.map_or(e, |a| a.max(e)))
-            })
-    };
-    let pp_osa = {
-        let es: Vec<Option<f64>> = platforms
-            .iter()
-            .map(|&p| mg_eff(p, Toolchain::OpenSycl, Scheme::Atomics))
-            .collect();
-        pennycook(&es, false)
-    };
-    let pp_best = {
+    let mg_best = |keep: &dyn Fn(&Measurement) -> bool| -> f64 {
         let es: Vec<Option<f64>> = platforms
             .iter()
             .map(|&p| {
-                mg.iter()
-                    .filter(|m| m.platform == p && m.variant.toolchain.is_sycl())
-                    .filter_map(|m| m.efficiency)
-                    .fold(None, |acc: Option<f64>, e| {
-                        Some(acc.map_or(e, |a| a.max(e)))
-                    })
+                best_of(
+                    sweep
+                        .mgcfd_on(p)
+                        .filter(|m| keep(m))
+                        .filter_map(|m| m.efficiency),
+                )
             })
             .collect();
         pennycook(&es, false)
     };
+    let pp_osa = mg_best(&|m| {
+        m.variant.toolchain == Toolchain::OpenSycl && m.scheme == Some(Scheme::Atomics)
+    });
+    let pp_best = mg_best(&|m| m.variant.toolchain.is_sycl());
 
     SummaryStats {
         native_eff: (mean(&native), std_dev(&native)),
@@ -315,7 +376,12 @@ pub fn summary_stats() -> SummaryStats {
 
 /// Render the summary with the paper's reference values alongside.
 pub fn summary_text() -> String {
-    let s = summary_stats();
+    summary_text_of(&Sweep::measure())
+}
+
+/// [`summary_text`] rendered from `sweep`.
+pub fn summary_text_of(sweep: &Sweep) -> String {
+    let s = summary_stats_of(sweep);
     let pct = |x: f64| format!("{:.0}%", x * 100.0);
     let pair = |(m, sd): (f64, f64)| format!("{} (std {})", pct(m), pct(sd));
     format!(
@@ -348,35 +414,71 @@ pub fn summary_text() -> String {
 /// §4.1's average SYCL-vs-native runtime gaps on one GPU: the mean over
 /// the structured apps of `t_sycl / t_native − 1` (positive = slower).
 pub fn gpu_gap(platform: PlatformId, tc: Toolchain, nd: bool, baseline: Toolchain) -> f64 {
-    let apps = miniapps::paper_structured_apps();
-    let mut gaps = Vec::new();
-    for app in &apps {
-        let base = portability::measure_structured(
-            app.as_ref(),
-            platform,
-            portability::StudyVariant {
-                toolchain: baseline,
-                nd_range: false,
-            },
-        );
-        let sycl = portability::measure_structured(
-            app.as_ref(),
-            platform,
-            portability::StudyVariant {
-                toolchain: tc,
-                nd_range: nd,
-            },
-        );
-        if let (Ok(tb), Ok(ts)) = (base.runtime, sycl.runtime) {
-            gaps.push(ts / tb - 1.0);
-        }
-    }
+    let variants = [
+        StudyVariant {
+            toolchain: baseline,
+            nd_range: false,
+        },
+        StudyVariant {
+            toolchain: tc,
+            nd_range: nd,
+        },
+    ];
+    let units = miniapps::paper_structured_apps()
+        .iter()
+        .flat_map(|app| variants.map(|v| measure_structured(app.as_ref(), platform, v)))
+        .collect();
+    gpu_gap_of(&Sweep::from_units(units), platform, tc, nd, baseline)
+}
+
+/// [`gpu_gap`] computed from `sweep`.
+pub fn gpu_gap_of(
+    sweep: &Sweep,
+    platform: PlatformId,
+    tc: Toolchain,
+    nd: bool,
+    baseline: Toolchain,
+) -> f64 {
+    let base = StudyVariant {
+        toolchain: baseline,
+        nd_range: false,
+    };
+    let gaps: Vec<f64> = sweep
+        .structured_on(platform)
+        .filter(|m| m.variant.toolchain == tc && m.variant.nd_range == nd)
+        .filter_map(|sycl| {
+            let native = sweep.get(sycl.app, platform, base, None)?;
+            match (native.runtime, sycl.runtime) {
+                (Ok(tb), Ok(ts)) => Some(ts / tb - 1.0),
+                _ => None,
+            }
+        })
+        .collect();
     mean(&gaps)
 }
 
+/// The (GPU, baseline) pairs of §4.1's gap aggregates, in print order.
+const GPU_GAP_BASELINES: [(PlatformId, Toolchain); 4] = [
+    (PlatformId::A100, Toolchain::NativeCuda),
+    (PlatformId::Mi250x, Toolchain::NativeHip),
+    (PlatformId::Mi250x, Toolchain::OmpOffload),
+    (PlatformId::Max1100, Toolchain::OmpOffload),
+];
+
 /// Render §4.1's gap aggregates with the paper's values alongside.
 pub fn gpu_gaps_text() -> String {
-    let pct = |x: f64| format!("{:+.1}%", x * 100.0);
+    gpu_gaps_text_of(&Sweep::measure_on(&gpu_platforms(), &[]))
+}
+
+/// [`gpu_gaps_text`] rendered from `sweep`.
+pub fn gpu_gaps_text_of(sweep: &Sweep) -> String {
+    let g: Vec<String> = GPU_GAP_BASELINES
+        .iter()
+        .flat_map(|&(p, base)| {
+            [Toolchain::Dpcpp, Toolchain::OpenSycl]
+                .map(|tc| format!("{:+.1}%", gpu_gap_of(sweep, p, tc, true, base) * 100.0))
+        })
+        .collect();
     format!(
         "## §4.1 average SYCL nd_range runtime gap vs native (structured apps)
          A100    : DPC++ {:8} (paper +1.2%) | OpenSYCL {:8} (paper +5.3%)
@@ -384,54 +486,7 @@ pub fn gpu_gaps_text() -> String {
          MI250X vs Cray offload: DPC++ {:8} (paper +2.3%) | OpenSYCL {:8} (paper -9.1%)
          Max 1100 vs OMP offload: DPC++ {:8} (paper -30.2%) | OpenSYCL {:8} (paper -27.6%)
 ",
-        pct(gpu_gap(
-            PlatformId::A100,
-            Toolchain::Dpcpp,
-            true,
-            Toolchain::NativeCuda
-        )),
-        pct(gpu_gap(
-            PlatformId::A100,
-            Toolchain::OpenSycl,
-            true,
-            Toolchain::NativeCuda
-        )),
-        pct(gpu_gap(
-            PlatformId::Mi250x,
-            Toolchain::Dpcpp,
-            true,
-            Toolchain::NativeHip
-        )),
-        pct(gpu_gap(
-            PlatformId::Mi250x,
-            Toolchain::OpenSycl,
-            true,
-            Toolchain::NativeHip
-        )),
-        pct(gpu_gap(
-            PlatformId::Mi250x,
-            Toolchain::Dpcpp,
-            true,
-            Toolchain::OmpOffload
-        )),
-        pct(gpu_gap(
-            PlatformId::Mi250x,
-            Toolchain::OpenSycl,
-            true,
-            Toolchain::OmpOffload
-        )),
-        pct(gpu_gap(
-            PlatformId::Max1100,
-            Toolchain::Dpcpp,
-            true,
-            Toolchain::OmpOffload
-        )),
-        pct(gpu_gap(
-            PlatformId::Max1100,
-            Toolchain::OpenSycl,
-            true,
-            Toolchain::OmpOffload
-        )),
+        g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7],
     )
 }
 
@@ -448,32 +503,26 @@ pub struct ConclusionStats {
 
 /// Compute §5's numbers over all seven applications.
 pub fn conclusion_stats() -> ConclusionStats {
-    let mut structured = all_structured();
-    structured.extend(all_mgcfd());
-    let platforms: Vec<PlatformId> = portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-        .collect();
-    let apps: Vec<&str> = {
-        let mut v: Vec<&str> = structured.iter().map(|m| m.app).collect();
-        v.sort();
-        v.dedup();
-        v
-    };
+    conclusion_stats_of(&Sweep::measure())
+}
+
+/// [`conclusion_stats`] computed from `sweep`.
+pub fn conclusion_stats_of(sweep: &Sweep) -> ConclusionStats {
+    let apps = app_names(sweep.units().iter());
     let best = |p: PlatformId, app: &str, native: bool| -> Option<f64> {
-        structured
-            .iter()
-            .filter(|m| m.platform == p && m.app == app && m.variant.is_native() == native)
-            .filter_map(|m| m.efficiency)
-            .fold(None, |acc: Option<f64>, e| {
-                Some(acc.map_or(e, |a| a.max(e)))
-            })
+        best_of(
+            sweep
+                .units()
+                .iter()
+                .filter(|m| m.platform == p && m.app == app && m.variant.is_native() == native)
+                .filter_map(|m| m.efficiency),
+        )
     };
     let collect = |native: bool, gpus: Option<bool>| -> f64 {
-        let vals: Vec<f64> = platforms
-            .iter()
+        let vals: Vec<f64> = all_platforms()
+            .into_iter()
             .filter(|p| gpus.is_none_or(|g| p.is_gpu() == g))
-            .flat_map(|&p| apps.iter().filter_map(move |&a| best(p, a, native)))
+            .flat_map(|p| apps.iter().filter_map(move |&a| best(p, a, native)))
             .collect();
         mean(&vals)
     };
@@ -489,7 +538,12 @@ pub fn conclusion_stats() -> ConclusionStats {
 
 /// Render §5's conclusions with the paper values alongside.
 pub fn conclusions_text() -> String {
-    let c = conclusion_stats();
+    conclusions_text_of(&Sweep::measure())
+}
+
+/// [`conclusions_text`] rendered from `sweep`.
+pub fn conclusions_text_of(sweep: &Sweep) -> String {
+    let c = conclusion_stats_of(sweep);
     let pct = |x: f64| format!("{:.1}%", x * 100.0);
     format!(
         "## §5 conclusions (best variant per app × platform)
@@ -506,33 +560,50 @@ pub fn conclusions_text() -> String {
     )
 }
 
+/// The apps of the boundary-loop probe.
+const BOUNDARY_APPS: [&str; 2] = [apps::CLOVERLEAF2D, apps::CLOVERLEAF3D];
+
 /// Boundary-loop time fractions (the paper's kernel-launch probe):
 /// CloverLeaf 2D/3D per platform and toolchain.
 pub fn boundary_fractions_text() -> String {
+    let probes: [Box<dyn miniapps::App>; 2] = [
+        Box::new(miniapps::CloverLeaf2d::paper()),
+        Box::new(miniapps::CloverLeaf3d::paper()),
+    ];
+    let mut units = Vec::new();
+    for p in all_platforms() {
+        for variant in variants_for(p) {
+            units.extend(
+                probes
+                    .iter()
+                    .map(|app| measure_structured(app.as_ref(), p, variant)),
+            );
+        }
+    }
+    boundary_fractions_text_of(&Sweep::from_units(units))
+}
+
+/// [`boundary_fractions_text`] rendered from `sweep`.
+pub fn boundary_fractions_text_of(sweep: &Sweep) -> String {
     let mut out = String::from(
         "## Boundary-loop time fractions (paper anchors: A100 1.5%/7.8%,
          ## MI250X 2.6%/11.1%, Max 0.9%/4.8%; Xeon DPC++ 5.4-8.7% vs
          ## MPI+OpenMP 0.34% and OpenSYCL 1.2-2.5%)
 ",
     );
-    let apps: [Box<dyn miniapps::App>; 2] = [
-        Box::new(miniapps::CloverLeaf2d::paper()),
-        Box::new(miniapps::CloverLeaf3d::paper()),
-    ];
-    for p in portability::gpu_platforms()
-        .into_iter()
-        .chain(portability::cpu_platforms())
-    {
+    for p in all_platforms() {
         out.push_str(&format!(
             "{}:
 ",
             sycl_sim::Platform::get(p).name
         ));
-        for variant in portability::variants_for(p) {
+        for variant in variants_for(p) {
             let mut row = format!("  {:18}", variant.label());
-            for app in &apps {
-                let m = portability::measure_structured(app.as_ref(), p, variant);
-                match m.boundary_fraction {
+            for app in BOUNDARY_APPS {
+                match sweep
+                    .get(app, p, variant, None)
+                    .and_then(|m| m.boundary_fraction)
+                {
                     Some(f) => row.push_str(&format!(" {:>6.2}%", f * 100.0)),
                     None => row.push_str("    n/a"),
                 }

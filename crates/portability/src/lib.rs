@@ -15,11 +15,13 @@ pub mod heatmap;
 pub mod metrics;
 pub mod report;
 pub mod study;
+pub mod sweep;
 
 pub use heatmap::HeatCell;
 pub use metrics::{harmonic_mean, mean, pennycook, std_dev};
 pub use report::{format_table, write_csv, MeasCell};
 pub use study::{
-    cpu_platforms, gpu_platforms, measure_mgcfd, measure_structured, structured_measurements,
-    unstructured_measurements, variants_for, Measurement, StudyVariant,
+    all_platforms, cpu_platforms, gpu_platforms, measure_mgcfd, measure_structured,
+    structured_measurements, unstructured_measurements, variants_for, Measurement, StudyVariant,
 };
+pub use sweep::Sweep;

@@ -52,6 +52,13 @@ pub fn cpu_platforms() -> [PlatformId; 3] {
     [PlatformId::Xeon8360Y, PlatformId::GenoaX, PlatformId::Altra]
 }
 
+/// All six platforms in figure order: the GPUs, then the CPUs.
+pub fn all_platforms() -> [PlatformId; 6] {
+    let [g0, g1, g2] = gpu_platforms();
+    let [c0, c1, c2] = cpu_platforms();
+    [g0, g1, g2, c0, c1, c2]
+}
+
 /// The variant columns the paper shows for a platform (Figures 2–7).
 pub fn variants_for(platform: PlatformId) -> Vec<StudyVariant> {
     use Toolchain::*;
@@ -117,7 +124,7 @@ pub fn measure_structured(
         .dry_run();
     match Session::create(cfg) {
         Err(fail) => Measurement {
-            app: leak_name(app.name()),
+            app: app.name(),
             platform,
             variant,
             scheme: None,
@@ -128,7 +135,7 @@ pub fn measure_structured(
         Ok(session) => {
             let run = app.run(&session);
             Measurement {
-                app: leak_name(app.name()),
+                app: app.name(),
                 platform,
                 variant,
                 scheme: None,
@@ -195,16 +202,6 @@ pub fn unstructured_measurements(platform: PlatformId) -> Vec<Measurement> {
         }
     }
     out
-}
-
-fn leak_name(name: &str) -> &'static str {
-    // App names come from the fixed `quirks::apps` table.
-    for known in apps::ALL {
-        if known == name {
-            return known;
-        }
-    }
-    "unknown"
 }
 
 #[cfg(test)]

@@ -109,3 +109,90 @@ fn ablation_texts_are_complete() {
     let cons = bench_harness::ablation::consistency_text();
     assert!(cons.matches('%').count() >= 12);
 }
+
+/// The zero-argument entry point the `fig*` binaries and the benchmark
+/// call for the artifact `name`, which measures what it renders itself.
+fn entry_point(name: &str) -> String {
+    use bench_harness::ablation;
+    if let Some(label) = name
+        .strip_prefix("fig_structured_")
+        .and_then(|n| n.strip_suffix(".txt"))
+    {
+        let platform = sycl_sim::PlatformId::parse(label).expect("a platform label");
+        return bench_harness::figure_structured_text(platform);
+    }
+    match name {
+        "table1.txt" => bench_harness::table1_text(),
+        "fig8_mgcfd_gpu.txt" => bench_harness::figure8_text(),
+        "fig9_mgcfd_cpu.txt" => bench_harness::figure9_text(),
+        "fig10_efficiency.txt" => bench_harness::figure10_text(),
+        "fig11_efficiency_mgcfd.txt" => bench_harness::figure11_text(),
+        "summary_stats.txt" => bench_harness::summary_text(),
+        "gpu_gaps.txt" => bench_harness::gpu_gaps_text(),
+        "conclusions.txt" => bench_harness::conclusions_text(),
+        "consistency_stats.txt" => ablation::consistency_text(),
+        "boundary_fractions.txt" => bench_harness::boundary_fractions_text(),
+        "ablation_workgroup.txt" => ablation::workgroup_sweep_text(),
+        "ablation_ordering.txt" => ablation::ordering_sweep_text(),
+        "ablation_cache.txt" => ablation::cache_sweep_text(),
+        "ablation_blocksize.txt" => ablation::block_size_sweep_text(),
+        "measurements.csv" => {
+            let mut all = bench_harness::all_structured();
+            all.extend(bench_harness::all_mgcfd());
+            write_csv(&all)
+        }
+        other => panic!("no entry point for artifact {other}"),
+    }
+}
+
+#[test]
+fn artifacts_from_one_sweep_match_the_entry_points() {
+    let sweep = portability::Sweep::measure();
+    let artifacts = bench_harness::artifacts(&sweep);
+    let names: Vec<&str> = artifacts.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "table1.txt",
+            "fig_structured_a100.txt",
+            "fig_structured_mi250x.txt",
+            "fig_structured_max1100.txt",
+            "fig_structured_xeon8360y.txt",
+            "fig_structured_genoax.txt",
+            "fig_structured_altra.txt",
+            "fig8_mgcfd_gpu.txt",
+            "fig9_mgcfd_cpu.txt",
+            "fig10_efficiency.txt",
+            "fig11_efficiency_mgcfd.txt",
+            "summary_stats.txt",
+            "gpu_gaps.txt",
+            "conclusions.txt",
+            "consistency_stats.txt",
+            "boundary_fractions.txt",
+            "ablation_workgroup.txt",
+            "ablation_ordering.txt",
+            "ablation_cache.txt",
+            "ablation_blocksize.txt",
+            "measurements.csv",
+        ]
+    );
+    for (name, text) in &artifacts {
+        assert!(
+            *text == entry_point(name),
+            "{name} drifted from its entry point"
+        );
+    }
+    // `gpu_gap` measures only its own twelve units; the sweep must give
+    // the same bits.
+    use sycl_sim::{PlatformId, Toolchain};
+    let args = (
+        PlatformId::Mi250x,
+        Toolchain::OpenSycl,
+        true,
+        Toolchain::OmpOffload,
+    );
+    assert_eq!(
+        bench_harness::gpu_gap(args.0, args.1, args.2, args.3).to_bits(),
+        bench_harness::gpu_gap_of(&sweep, args.0, args.1, args.2, args.3).to_bits()
+    );
+}
