@@ -278,8 +278,8 @@ fn replay_class(launches: usize, replays: usize, samples: usize) -> (Entry, Entr
         let mut g = s.record();
         for k in &ks {
             let sink = &sink;
-            g.launch(k, move |executes| {
-                if executes {
+            g.launch(k, move |on| {
+                if on.executes() {
                     sink.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
             });

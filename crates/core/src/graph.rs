@@ -32,14 +32,14 @@ use std::sync::Arc;
 // the large variant stays inline rather than paying a Box per node.
 #[allow(clippy::large_enum_variant)]
 enum GraphOp<'a> {
-    /// A kernel launch: the fingerprinted node plus its functional body.
-    /// The body receives `session.executes()` at replay time. `meta` is
-    /// the declarative access metadata for static analysis; it never
-    /// enters pricing or the ledger.
+    /// A kernel launch: the fingerprinted node plus its functional body,
+    /// which receives the replaying session. `meta` is the declarative
+    /// access metadata for static analysis; it never enters pricing or
+    /// the ledger.
     Launch {
         node: LaunchNode,
         meta: LaunchMeta,
-        body: Box<dyn Fn(bool) + Sync + 'a>,
+        body: Box<dyn Fn(&Session) + Sync + 'a>,
     },
     /// A halo exchange (`Session::exchange` equivalent). `dats` lists
     /// the shadow-registry ids of the exchanged datasets (empty when
@@ -83,14 +83,15 @@ impl<'a> GraphBuilder<'a> {
     }
 
     /// Record one launch. `body` is the functional kernel body; it is
-    /// called on every replay with `session.executes()` as its argument
-    /// (dry-run sessions replay pricing without running bodies).
+    /// called on every replay with the replaying session, and runs real
+    /// work only when `session.executes()` (dry-run sessions replay
+    /// pricing without running bodies).
     ///
     /// The launch carries [`LaunchMeta::opaque`] metadata — static
     /// analysis will not reason about its data accesses. DSLs that know
     /// their access sets record through
     /// [`GraphBuilder::launch_with_meta`] instead.
-    pub fn launch(&mut self, kernel: &Kernel, body: impl Fn(bool) + Sync + 'a) {
+    pub fn launch(&mut self, kernel: &Kernel, body: impl Fn(&Session) + Sync + 'a) {
         self.launch_with_meta(kernel, LaunchMeta::opaque(), body);
     }
 
@@ -102,7 +103,7 @@ impl<'a> GraphBuilder<'a> {
         &mut self,
         kernel: &Kernel,
         meta: LaunchMeta,
-        body: impl Fn(bool) + Sync + 'a,
+        body: impl Fn(&Session) + Sync + 'a,
     ) {
         self.ops.push(GraphOp::Launch {
             node: LaunchNode::new(kernel),
@@ -354,7 +355,7 @@ impl LaunchGraph<'_> {
             return self.replay_eager(session);
         }
         let replay_span = telemetry::SpanTimer::start();
-        replay_graphs(session, &[self]);
+        self.run_stages(session);
         if let Some(t) = replay_span {
             t.finish(
                 telemetry::SpanKind::Replay,
@@ -362,6 +363,33 @@ impl LaunchGraph<'_> {
                 self.launches,
                 0.0,
             );
+        }
+    }
+
+    /// The batched stages behind [`LaunchGraph::replay`]: price every
+    /// launch (one cache lock), execute the bodies, commit every op (one
+    /// ledger lock), then deliver the launch records to the observer.
+    fn run_stages(&self, session: &Session) {
+        let priced = {
+            let ctx = session.price_context();
+            let mut cache = session.price_cache();
+            self.price_stage(&ctx, &mut cache)
+        };
+
+        self.execute_stage(session, &priced);
+
+        let (observations, observer) = {
+            // Lock order: ledger → cache → residency (see `Session`).
+            let mut led = session.ledger();
+            let mut cache = session.price_cache();
+            let mut res = session.residency_tracker();
+            let observations = self.commit_stage(session, &mut led, &mut cache, &mut res, &priced);
+            (observations, led.observer.clone())
+        };
+        if let Some(obs) = observer {
+            for rec in &observations {
+                obs(rec);
+            }
         }
     }
 
@@ -378,7 +406,7 @@ impl LaunchGraph<'_> {
     }
 
     /// Execute stage: run the functional bodies with per-launch spans.
-    fn execute_stage(&self, priced: &[Option<Priced>], executes: bool) {
+    fn execute_stage(&self, session: &Session, priced: &[Option<Priced>]) {
         let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
         let flight = telemetry::flight::recording();
         for (op, p) in self.ops.iter().zip(priced) {
@@ -389,7 +417,7 @@ impl LaunchGraph<'_> {
                     if flight {
                         telemetry::flight::span_open(telemetry::SpanKind::Launch, &p.name);
                     }
-                    body(executes);
+                    body(session);
                     if flight {
                         telemetry::flight::span_close(telemetry::SpanKind::Launch, &p.name);
                     }
@@ -422,7 +450,7 @@ impl LaunchGraph<'_> {
     }
 
     /// Commit stage: append ops in recorded order into the caller-held
-    /// ledger lock, pushing each launch's record for post-unlock
+    /// ledger lock, returning each launch's record for post-unlock
     /// observer delivery. Comm ops price through the caller-held price
     /// cache and residency tracker — in recorded order, so elision
     /// decisions are identical to the eager fallback's.
@@ -433,9 +461,9 @@ impl LaunchGraph<'_> {
         cache: &mut PriceCache,
         res: &mut ResidencyTracker,
         priced: &[Option<Priced>],
-        observations: &mut Vec<LaunchRecord>,
-    ) {
+    ) -> Vec<LaunchRecord> {
         let pricing = session.config().transfer_pricing;
+        let mut observations = Vec::new();
         for (op, p) in self.ops.iter().zip(priced) {
             match op {
                 GraphOp::Launch { meta, .. } => {
@@ -460,19 +488,19 @@ impl LaunchGraph<'_> {
                 _ => {}
             }
         }
+        observations
     }
 
     /// The eager fallback: each op goes through the per-launch session
     /// API, exactly as un-graphed code would.
     pub(crate) fn replay_eager(&self, session: &Session) {
-        let executes = session.executes();
         let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
         let flight = telemetry::flight::recording();
         for op in &self.ops {
             match op {
                 GraphOp::Launch { node, meta, body } => {
                     // Launch flight events come from `launch_timed`.
-                    session.launch(&node.kernel, || body(executes));
+                    session.launch(&node.kernel, || body(session));
                     session.note_kernel_residency(meta);
                 }
                 GraphOp::Exchange {
@@ -496,87 +524,6 @@ impl LaunchGraph<'_> {
                     }
                 }
             }
-        }
-    }
-}
-
-/// Replay several recorded graphs as **one** composed commit: every
-/// launch across all graphs is priced under a single pricing-cache lock
-/// acquisition, all bodies execute, and the whole concatenated sequence
-/// commits under a single ledger lock acquisition, with observers fired
-/// in ledger order after the lock drops.
-///
-/// The ledger ends bit-identical to replaying the graphs one at a time
-/// in slice order (same op order, same f64 accumulation), which is what
-/// lets the service batch N client submissions per shard without
-/// changing any result — property-tested in `tests/service_batch.rs`.
-///
-/// On sessions configured with [`crate::SessionConfig::eager_launches`]
-/// each graph degrades to per-launch eager calls, in the same order.
-pub fn replay_all(session: &Session, graphs: &[&LaunchGraph<'_>]) {
-    if graphs.is_empty() {
-        return;
-    }
-    for g in graphs {
-        g.notify_observer(session);
-    }
-    if !session.config().graph_replay {
-        for g in graphs {
-            g.replay_eager(session);
-        }
-        return;
-    }
-    let span = telemetry::SpanTimer::start();
-    replay_graphs(session, graphs);
-    if let Some(t) = span {
-        t.finish(
-            telemetry::SpanKind::Replay,
-            "graph.replay_batch",
-            graphs.iter().map(|g| g.n_launches()).sum(),
-            0.0,
-        );
-    }
-}
-
-/// The shared three-stage core behind [`LaunchGraph::replay`] and
-/// [`replay_all`]: price all graphs (one cache lock), execute all
-/// bodies, commit all ops (one ledger lock), then deliver observations.
-fn replay_graphs(session: &Session, graphs: &[&LaunchGraph<'_>]) {
-    let priced: Vec<Vec<Option<Priced>>> = {
-        let ctx = session.price_context();
-        let mut cache = session.price_cache();
-        graphs
-            .iter()
-            .map(|g| g.price_stage(&ctx, &mut cache))
-            .collect()
-    };
-
-    let executes = session.executes();
-    for (g, p) in graphs.iter().zip(&priced) {
-        g.execute_stage(p, executes);
-    }
-
-    let mut observations: Vec<LaunchRecord> = Vec::new();
-    let observer = {
-        // Lock order: ledger → cache → residency (see `Session`).
-        let mut led = session.ledger();
-        let mut cache = session.price_cache();
-        let mut res = session.residency_tracker();
-        for (g, p) in graphs.iter().zip(&priced) {
-            g.commit_stage(
-                session,
-                &mut led,
-                &mut cache,
-                &mut res,
-                p,
-                &mut observations,
-            );
-        }
-        led.observer.clone()
-    };
-    if let Some(obs) = observer {
-        for rec in &observations {
-            obs(rec);
         }
     }
 }
@@ -661,8 +608,8 @@ mod tests {
         .unwrap();
         let ran = AtomicUsize::new(0);
         let mut g = live.record();
-        g.launch(&k, |executes| {
-            if executes {
+        g.launch(&k, |s| {
+            if s.executes() {
                 ran.fetch_add(1, Ordering::Relaxed);
             }
         });
@@ -710,56 +657,6 @@ mod tests {
         let g = g.finish();
         g.replay(&s);
         assert_eq!(&*seen.lock(), &["a", "b"]);
-    }
-
-    #[test]
-    fn replay_all_matches_sequential_replays_bit_for_bit() {
-        let k1 = Kernel::streaming("triad", 1 << 20, 3e7, 2e6);
-        let k2 = Kernel::streaming("copy", 1 << 18, 4e6, 0.0);
-        fn make<'s>(
-            s: &'s Session,
-            k1: &Kernel,
-            k2: &Kernel,
-        ) -> (LaunchGraph<'s>, LaunchGraph<'s>) {
-            let mut a = s.record();
-            a.launch(k1, |_| {});
-            a.transfer(2e6);
-            let mut b = s.record();
-            b.launch(k2, |_| {});
-            b.exchange(1e6, 4);
-            b.launch(k1, |_| {});
-            (a.finish(), b.finish())
-        }
-        let batched = session();
-        let serial = session();
-        {
-            let (a, b) = make(&batched, &k1, &k2);
-            replay_all(&batched, &[&a, &b]);
-            replay_all(&batched, &[&b, &a]);
-        }
-        {
-            let (a, b) = make(&serial, &k1, &k2);
-            a.replay(&serial);
-            b.replay(&serial);
-            b.replay(&serial);
-            a.replay(&serial);
-        }
-        assert_eq!(batched.ledger_digest(), serial.ledger_digest());
-        assert_eq!(batched.elapsed().to_bits(), serial.elapsed().to_bits());
-        // Eager sessions degrade per graph, same ledger.
-        let eager = eager_session();
-        let (a, b) = make(&eager, &k1, &k2);
-        replay_all(&eager, &[&a, &b]);
-        replay_all(&eager, &[&b, &a]);
-        assert_eq!(eager.ledger_digest(), batched.ledger_digest());
-    }
-
-    #[test]
-    fn replay_all_of_nothing_is_a_no_op() {
-        let s = session();
-        replay_all(&s, &[]);
-        assert_eq!(s.records().len(), 0);
-        assert_eq!(s.elapsed(), 0.0);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::toolchain::{Scheme, SyclVariant, Toolchain};
 use machine_model::{KernelTime, Platform, PlatformId, TransferDir};
 use parkit::sync::{Mutex, MutexGuard};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One priced kernel launch. The name is interned (`Arc<str>`), so
@@ -156,8 +157,13 @@ pub type LaunchObserver = Arc<dyn Fn(&LaunchRecord) + Send + Sync>;
 /// Summaries repeat per replay — dedup on [`crate::GraphSummary::id`].
 pub type GraphObserver = Arc<dyn Fn(&crate::graph::GraphSummary) + Send + Sync>;
 
+/// Session ids are process-unique and nonzero, so the shadow layer can
+/// name the one session a verifier traces.
+static NEXT_SESSION_ID: AtomicU64 = AtomicU64::new(1);
+
 /// A live (platform × toolchain × variant × app) execution context.
 pub struct Session {
+    id: u64,
     platform: Platform,
     cfg: SessionConfig,
     atomic_kind: machine_model::AtomicKind,
@@ -213,6 +219,7 @@ impl Session {
             return Err(fail);
         }
         Ok(Session {
+            id: NEXT_SESSION_ID.fetch_add(1, Ordering::Relaxed),
             platform: Platform::get(cfg.platform),
             atomic_kind: quirks::atomic_kind(cfg.platform, cfg.toolchain),
             cache: Mutex::new(PriceCache::new(cfg.pricing_cache)),
@@ -222,6 +229,11 @@ impl Session {
             graph_observed: std::sync::atomic::AtomicBool::new(false),
             cfg,
         })
+    }
+
+    /// Process-unique id of this session (never 0).
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The hardware model this session runs on.
@@ -256,7 +268,6 @@ impl Session {
     /// summary id). Purely observational; replay behaviour, pricing and
     /// the ledger are unaffected.
     pub fn set_graph_observer(&self, observer: Option<GraphObserver>) {
-        use std::sync::atomic::Ordering;
         self.graph_observed
             .store(observer.is_some(), Ordering::Release);
         *self.graph_observer.lock() = observer;
@@ -264,7 +275,6 @@ impl Session {
 
     /// The installed graph observer, if any. One atomic load when none.
     pub(crate) fn graph_observer(&self) -> Option<GraphObserver> {
-        use std::sync::atomic::Ordering;
         if !self.graph_observed.load(Ordering::Acquire) {
             return None;
         }
@@ -281,6 +291,15 @@ impl Session {
     /// True when kernel bodies should actually execute.
     pub fn executes(&self) -> bool {
         !self.cfg.dry_run
+    }
+
+    /// True when this session's loops record shadow traces: bodies
+    /// execute and a verifier is attached to *this* session. Shadow
+    /// state is process-global, so the DSLs gate every loop and unit on
+    /// this rather than on the global switch — a plain session on
+    /// another thread never feeds a verifier's trace.
+    pub fn shadowed(&self) -> bool {
+        self.executes() && telemetry::shadow::traces(self.id)
     }
 
     /// Start recording a launch graph. Record methods on the builder

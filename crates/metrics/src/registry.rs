@@ -206,7 +206,6 @@ pub fn ingest_events(events: &[Event]) {
             SpanKind::Reduce => r.record_always("reduce.wall_secs", "", secs),
             SpanKind::Phase => r.record_always("phase.wall_secs", e.name.as_str(), secs),
             SpanKind::Replay => r.record_always("replay.wall_secs", e.name.as_str(), secs),
-            SpanKind::Shard => r.record_always("shard.wall_secs", e.name.as_str(), secs),
             SpanKind::Unit => r.record_always("unit.wall_secs", e.name.as_str(), secs),
         }
     }

@@ -234,7 +234,7 @@ impl EdgeLoop {
             self.bytes_per_wave(64.0),
         );
         let execute = session.executes() && mesh.is_some();
-        let shadowing = shadow::shadow_on() && execute;
+        let shadowing = session.shadowed() && mesh.is_some();
         if shadowing {
             self.begin_shadow_loop(mesh.unwrap());
         }
@@ -245,11 +245,11 @@ impl EdgeLoop {
                     if execute {
                         let n = mesh.unwrap().mesh.n_edges();
                         global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                            shadow::begin_unit();
-                            for e in lo..hi {
-                                body(e);
-                            }
-                            shadow::end_unit();
+                            shadow::unit(shadowing, || {
+                                for e in lo..hi {
+                                    body(e);
+                                }
+                            });
                         });
                     }
                 });
@@ -269,11 +269,11 @@ impl EdgeLoop {
                         }
                         session.launch(&kernel, || {
                             global_pool().for_range(group.len(), EXEC_CHUNK, |lo, hi| {
-                                shadow::begin_unit();
-                                for &e in &group[lo..hi] {
-                                    body(e as usize);
-                                }
-                                shadow::end_unit();
+                                shadow::unit(shadowing, || {
+                                    for &e in &group[lo..hi] {
+                                        body(e as usize);
+                                    }
+                                });
                             });
                         });
                     }
@@ -300,11 +300,11 @@ impl EdgeLoop {
                                 let (lo, hi) = hier.block_range(group[gi] as usize, n_edges);
                                 // Blocks run serially inside — the
                                 // intra-block colouring orders the edges.
-                                shadow::begin_unit();
-                                for e in lo..hi {
-                                    body(e);
-                                }
-                                shadow::end_unit();
+                                shadow::unit(shadowing, || {
+                                    for e in lo..hi {
+                                        body(e);
+                                    }
+                                });
                             });
                         });
                     }
@@ -378,7 +378,8 @@ impl EdgeLoop {
     /// bit-identical to an eager run. The colour structure is captured at
     /// record time — re-record if the mesh or its colouring changes.
     /// Shadow bracketing is evaluated at replay time inside the recorded
-    /// bodies, in the same order as the eager path.
+    /// bodies, against the replaying session, in the same order as the
+    /// eager path.
     pub fn record<'a>(
         self,
         g: &mut GraphBuilder<'a>,
@@ -405,20 +406,20 @@ impl EdgeLoop {
                 // (no dat-level dataflow), but carries the scheme label
                 // for the per-platform legality lint.
                 let meta = LaunchMeta::opaque().with_scheme(scheme_label(scheme));
-                g.launch_with_meta(&kernel, meta, move |executes| {
-                    let execute = executes && mesh.is_some();
-                    let shadowing = shadow::shadow_on() && execute;
+                g.launch_with_meta(&kernel, meta, move |session| {
+                    let execute = session.executes() && mesh.is_some();
+                    let shadowing = session.shadowed() && mesh.is_some();
                     if shadowing {
                         lp.begin_shadow_loop(mesh.unwrap());
                     }
                     if execute {
                         let n = mesh.unwrap().mesh.n_edges();
                         global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                            shadow::begin_unit();
-                            for e in lo..hi {
-                                body(e);
-                            }
-                            shadow::end_unit();
+                            shadow::unit(shadowing, || {
+                                for e in lo..hi {
+                                    body(e);
+                                }
+                            });
                         });
                     }
                     if shadowing {
@@ -430,9 +431,9 @@ impl EdgeLoop {
                 for pass in 0..passes {
                     let lp = Arc::clone(&lp);
                     let body = Arc::clone(&body);
-                    g.launch(&kernel, move |executes| {
-                        let execute = executes && mesh.is_some();
-                        let shadowing = shadow::shadow_on() && execute;
+                    g.launch(&kernel, move |session| {
+                        let execute = session.executes() && mesh.is_some();
+                        let shadowing = session.shadowed() && mesh.is_some();
                         if shadowing {
                             if pass == 0 {
                                 lp.begin_shadow_loop(mesh.unwrap());
@@ -448,11 +449,11 @@ impl EdgeLoop {
                                 .expect("ColoredMesh::prepare builds the global colouring");
                             let group = &coloring.by_color[pass];
                             global_pool().for_range(group.len(), EXEC_CHUNK, |lo, hi| {
-                                shadow::begin_unit();
-                                for &e in &group[lo..hi] {
-                                    body(e as usize);
-                                }
-                                shadow::end_unit();
+                                shadow::unit(shadowing, || {
+                                    for &e in &group[lo..hi] {
+                                        body(e as usize);
+                                    }
+                                });
                             });
                         }
                         if shadowing && pass == passes - 1 {
@@ -465,9 +466,9 @@ impl EdgeLoop {
                 for pass in 0..passes {
                     let lp = Arc::clone(&lp);
                     let body = Arc::clone(&body);
-                    g.launch(&kernel, move |executes| {
-                        let execute = executes && mesh.is_some();
-                        let shadowing = shadow::shadow_on() && execute;
+                    g.launch(&kernel, move |session| {
+                        let execute = session.executes() && mesh.is_some();
+                        let shadowing = session.shadowed() && mesh.is_some();
                         if shadowing {
                             if pass == 0 {
                                 lp.begin_shadow_loop(mesh.unwrap());
@@ -485,11 +486,11 @@ impl EdgeLoop {
                             let group = &hier.blocks_by_color[pass];
                             global_pool().run_region(group.len(), |_lane, gi| {
                                 let (lo, hi) = hier.block_range(group[gi] as usize, n_edges);
-                                shadow::begin_unit();
-                                for e in lo..hi {
-                                    body(e);
-                                }
-                                shadow::end_unit();
+                                shadow::unit(shadowing, || {
+                                    for e in lo..hi {
+                                        body(e);
+                                    }
+                                });
                             });
                         }
                         if shadowing && pass == passes - 1 {
@@ -634,16 +635,14 @@ impl VertexLoop {
     pub fn run(self, session: &Session, body: impl Fn(usize, usize) + Sync) {
         let n = self.set_size;
         let kernel = self.kernel(0);
-        let shadowing = shadow::shadow_on() && session.executes();
+        let shadowing = session.shadowed();
         if shadowing {
             self.begin_shadow_loop();
         }
         session.launch(&kernel, || {
             if session.executes() {
                 global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                    shadow::begin_unit();
-                    body(lo, hi);
-                    shadow::end_unit();
+                    shadow::unit(shadowing, || body(lo, hi));
                 });
             }
         });
@@ -666,7 +665,7 @@ impl VertexLoop {
         let n = self.set_size;
         let kernel = self.kernel(1);
         let bytes = kernel.footprint.effective_bytes;
-        let shadowing = shadow::shadow_on() && session.executes();
+        let shadowing = session.shadowed();
         if shadowing {
             self.begin_shadow_loop();
         }
@@ -682,9 +681,7 @@ impl VertexLoop {
             global_pool().run_region(chunks, |_lane, c| {
                 let lo = c * EXEC_CHUNK;
                 let hi = (lo + EXEC_CHUNK).min(n);
-                shadow::begin_unit();
-                let partial = body(lo, hi);
-                shadow::end_unit();
+                let partial = shadow::unit(shadowing, || body(lo, hi));
                 // SAFETY: each chunk index visited exactly once.
                 unsafe { slots.write(c, Some(partial)) };
             });
@@ -710,16 +707,14 @@ impl VertexLoop {
     pub fn record<'a>(self, g: &mut GraphBuilder<'a>, body: impl Fn(usize, usize) + Sync + 'a) {
         let n = self.set_size;
         let kernel = self.kernel(0);
-        g.launch(&kernel, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
+        g.launch(&kernel, move |session| {
+            let shadowing = session.shadowed();
             if shadowing {
                 self.begin_shadow_loop();
             }
-            if executes {
+            if session.executes() {
                 global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                    shadow::begin_unit();
-                    body(lo, hi);
-                    shadow::end_unit();
+                    shadow::unit(shadowing, || body(lo, hi));
                 });
             }
             if shadowing {
@@ -745,12 +740,12 @@ impl VertexLoop {
         let n = self.set_size;
         let kernel = self.kernel(1);
         let bytes = kernel.footprint.effective_bytes;
-        g.launch(&kernel, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
+        g.launch(&kernel, move |session| {
+            let shadowing = session.shadowed();
             if shadowing {
                 self.begin_shadow_loop();
             }
-            if !executes {
+            if !session.executes() {
                 sink(identity.clone());
             } else {
                 let span = telemetry::SpanTimer::start();
@@ -760,9 +755,7 @@ impl VertexLoop {
                 global_pool().run_region(chunks, |_lane, c| {
                     let lo = c * EXEC_CHUNK;
                     let hi = (lo + EXEC_CHUNK).min(n);
-                    shadow::begin_unit();
-                    let partial = body(lo, hi);
-                    shadow::end_unit();
+                    let partial = shadow::unit(shadowing, || body(lo, hi));
                     // SAFETY: each chunk index visited exactly once.
                     unsafe { slots.write(c, Some(partial)) };
                 });

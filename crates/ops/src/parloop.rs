@@ -248,7 +248,7 @@ impl ParLoop {
         let kernel = self.kernel();
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
-        let shadowing = shadow::shadow_on() && session.executes();
+        let shadowing = session.shadowed();
         if shadowing {
             shadow::begin_loop(self.loop_decl());
         }
@@ -256,9 +256,7 @@ impl ParLoop {
         session.launch(&kernel, || {
             if session.executes() {
                 global_pool().run_region(tiles, |_lane, t| {
-                    shadow::begin_unit();
-                    body(range.tile(shape, t));
-                    shadow::end_unit();
+                    shadow::unit(shadowing, || body(range.tile(shape, t)));
                 });
             }
         });
@@ -281,7 +279,7 @@ impl ParLoop {
         let kernel = self.kernel();
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
-        let shadowing = shadow::shadow_on() && session.executes();
+        let shadowing = session.shadowed();
         if shadowing {
             shadow::begin_loop(self.loop_decl());
         }
@@ -289,11 +287,11 @@ impl ParLoop {
         session.launch(&kernel, || {
             if session.executes() {
                 global_pool().run_region(tiles, |_lane, t| {
-                    shadow::begin_unit();
-                    for row in range.tile(shape, t).rows() {
-                        body(row);
-                    }
-                    shadow::end_unit();
+                    shadow::unit(shadowing, || {
+                        for row in range.tile(shape, t).rows() {
+                            body(row);
+                        }
+                    });
                 });
             }
         });
@@ -322,7 +320,7 @@ impl ParLoop {
         let bytes = kernel.footprint.effective_bytes;
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
-        let shadowing = shadow::shadow_on() && session.executes();
+        let shadowing = session.shadowed();
         if shadowing {
             shadow::begin_loop(self.loop_decl());
         }
@@ -334,10 +332,7 @@ impl ParLoop {
             }
             let span = telemetry::SpanTimer::start();
             let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                shadow::begin_unit();
-                let partial = body(range.tile(shape, t));
-                shadow::end_unit();
-                partial
+                shadow::unit(shadowing, || body(range.tile(shape, t)))
             });
             finish_reduce_span(span, &name, tiles, bytes);
             out
@@ -368,7 +363,7 @@ impl ParLoop {
         let bytes = kernel.footprint.effective_bytes;
         let shape = exec_tile(&self.range);
         let tiles = self.range.tile_count(shape);
-        let shadowing = shadow::shadow_on() && session.executes();
+        let shadowing = session.shadowed();
         if shadowing {
             shadow::begin_loop(self.loop_decl());
         }
@@ -380,13 +375,13 @@ impl ParLoop {
             }
             let span = telemetry::SpanTimer::start();
             let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                shadow::begin_unit();
-                let mut acc = identity.clone();
-                for row in range.tile(shape, t).rows() {
-                    acc = body(acc, row);
-                }
-                shadow::end_unit();
-                acc
+                shadow::unit(shadowing, || {
+                    let mut acc = identity.clone();
+                    for row in range.tile(shape, t).rows() {
+                        acc = body(acc, row);
+                    }
+                    acc
+                })
             });
             finish_reduce_span(span, &name, tiles, bytes);
             out
@@ -404,7 +399,8 @@ impl ParLoop {
     /// [`LaunchGraph::replay`](sycl_sim::LaunchGraph::replay) the body
     /// runs over the identical tile decomposition — so eager and
     /// replayed ledgers are bit-identical. Shadow bracketing is
-    /// evaluated at replay time, inside the recorded body.
+    /// evaluated at replay time, inside the recorded body, against the
+    /// replaying session.
     pub fn record<'a>(self, g: &mut GraphBuilder<'a>, body: impl Fn(Range3) + Sync + 'a) {
         let kernel = self.kernel();
         let meta = self.launch_meta();
@@ -412,16 +408,14 @@ impl ParLoop {
         let tiles = self.range.tile_count(shape);
         let decl = self.loop_decl();
         let range = self.range;
-        g.launch_with_meta(&kernel, meta, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
+        g.launch_with_meta(&kernel, meta, move |session| {
+            let shadowing = session.shadowed();
             if shadowing {
                 shadow::begin_loop(decl.clone());
             }
-            if executes {
+            if session.executes() {
                 global_pool().run_region(tiles, |_lane, t| {
-                    shadow::begin_unit();
-                    body(range.tile(shape, t));
-                    shadow::end_unit();
+                    shadow::unit(shadowing, || body(range.tile(shape, t)));
                 });
             }
             if shadowing {
@@ -439,18 +433,18 @@ impl ParLoop {
         let tiles = self.range.tile_count(shape);
         let decl = self.loop_decl();
         let range = self.range;
-        g.launch_with_meta(&kernel, meta, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
+        g.launch_with_meta(&kernel, meta, move |session| {
+            let shadowing = session.shadowed();
             if shadowing {
                 shadow::begin_loop(decl.clone());
             }
-            if executes {
+            if session.executes() {
                 global_pool().run_region(tiles, |_lane, t| {
-                    shadow::begin_unit();
-                    for row in range.tile(shape, t).rows() {
-                        body(row);
-                    }
-                    shadow::end_unit();
+                    shadow::unit(shadowing, || {
+                        for row in range.tile(shape, t).rows() {
+                            body(row);
+                        }
+                    });
                 });
             }
             if shadowing {
@@ -486,20 +480,17 @@ impl ParLoop {
         let decl = self.loop_decl();
         let range = self.range;
         let name = self.name;
-        g.launch_with_meta(&kernel, meta, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
+        g.launch_with_meta(&kernel, meta, move |session| {
+            let shadowing = session.shadowed();
             if shadowing {
                 shadow::begin_loop(decl.clone());
             }
-            if !executes {
+            if !session.executes() {
                 sink(identity.clone());
             } else {
                 let span = telemetry::SpanTimer::start();
                 let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                    shadow::begin_unit();
-                    let partial = body(range.tile(shape, t));
-                    shadow::end_unit();
-                    partial
+                    shadow::unit(shadowing, || body(range.tile(shape, t)))
                 });
                 finish_reduce_span(span, &name, tiles, bytes);
                 sink(out);
@@ -532,23 +523,23 @@ impl ParLoop {
         let decl = self.loop_decl();
         let range = self.range;
         let name = self.name;
-        g.launch_with_meta(&kernel, meta, move |executes| {
-            let shadowing = shadow::shadow_on() && executes;
+        g.launch_with_meta(&kernel, meta, move |session| {
+            let shadowing = session.shadowed();
             if shadowing {
                 shadow::begin_loop(decl.clone());
             }
-            if !executes {
+            if !session.executes() {
                 sink(identity.clone());
             } else {
                 let span = telemetry::SpanTimer::start();
                 let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                    shadow::begin_unit();
-                    let mut acc = identity.clone();
-                    for row in range.tile(shape, t).rows() {
-                        acc = body(acc, row);
-                    }
-                    shadow::end_unit();
-                    acc
+                    shadow::unit(shadowing, || {
+                        let mut acc = identity.clone();
+                        for row in range.tile(shape, t).rows() {
+                            acc = body(acc, row);
+                        }
+                        acc
+                    })
                 });
                 finish_reduce_span(span, &name, tiles, bytes);
                 sink(out);

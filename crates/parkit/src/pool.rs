@@ -24,16 +24,6 @@ const SPIN_BEFORE_PARK: u32 = 1 << 12;
 /// Spin iterations the caller burns watching completion before parking.
 const SPIN_BEFORE_JOIN: u32 = 1 << 12;
 
-/// Process-unique, nonzero id for the calling thread (0 means "no owner"
-/// in [`ThreadPool::region_owner`]).
-fn thread_token() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TOKEN: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    TOKEN.with(|t| *t)
-}
-
 /// Configuration for a [`ThreadPool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
@@ -131,31 +121,10 @@ pub struct ThreadPool {
     /// Reusable word-aligned scratch for reduction partials, so steady-state
     /// `reduce` calls allocate nothing once the arena has grown.
     arena: Mutex<Vec<u64>>,
-    /// Token of the thread currently entitled to publish regions (0 = no
-    /// owner). Held either for the duration of one `run_region*` call or
-    /// across many of them by a [`RegionHandle`].
-    region_owner: AtomicU64,
-    /// True while the owning thread has a region published; only ever
-    /// written by the owner, so relaxed ordering suffices. Nested
-    /// `run_region*` calls from inside a region body see it set and fall
-    /// back to inline execution instead of clobbering the slot.
-    owner_in_region: AtomicBool,
-}
-
-/// Exclusive claim on a pool's worker lanes; see [`ThreadPool::reserve`].
-///
-/// While a handle is held, `run_region*` calls from the owning thread are
-/// serviced by the workers as usual, and calls from every other thread
-/// fall back to inline execution on their own stack. Dropping the handle
-/// releases the claim.
-pub struct RegionHandle<'p> {
-    pool: &'p ThreadPool,
-}
-
-impl Drop for RegionHandle<'_> {
-    fn drop(&mut self) {
-        self.pool.region_owner.store(0, Ordering::Release);
-    }
+    /// True while a `run_region*` call has a region published. Regions
+    /// started meanwhile — from another thread, or nested inside a
+    /// region body — run inline instead of clobbering the slot.
+    region_busy: AtomicBool,
 }
 
 impl ThreadPool {
@@ -195,51 +164,13 @@ impl ThreadPool {
             workers,
             lanes,
             arena: Mutex::new(Vec::new()),
-            region_owner: AtomicU64::new(0),
-            owner_in_region: AtomicBool::new(false),
+            region_busy: AtomicBool::new(false),
         }
     }
 
     /// Total parallel lanes (workers + the calling thread).
     pub fn lanes(&self) -> usize {
         self.lanes
-    }
-
-    /// Claim the worker lanes for the calling thread, spinning (with
-    /// periodic yields) until the current owner releases them.
-    ///
-    /// A shard replaying a launch graph takes one handle for the whole
-    /// replay so its regions run back-to-back under a single claim
-    /// instead of contending per region; other shards' regions execute
-    /// inline on their own submitter threads in the meantime (work-
-    /// conserving, and bit-identical for reductions because partials are
-    /// combined by a fixed tree regardless of who ran the chunks).
-    ///
-    /// Claims are not reentrant: a thread that already owns the lanes
-    /// (including from inside a region body) must not call `reserve`
-    /// again — doing so would deadlock on its own claim.
-    pub fn reserve(&self) -> RegionHandle<'_> {
-        let me = thread_token();
-        debug_assert_ne!(
-            self.region_owner.load(Ordering::Relaxed),
-            me,
-            "ThreadPool::reserve is not reentrant"
-        );
-        let mut spins = 0u32;
-        while self
-            .region_owner
-            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            spins += 1;
-            if spins >= SPIN_BEFORE_JOIN {
-                spins = 0;
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        RegionHandle { pool: self }
     }
 
     /// Execute `n_chunks` invocations of `body(lane, chunk)` across the
@@ -273,37 +204,23 @@ impl ThreadPool {
             return;
         }
 
-        // Claim the worker lanes. A thread that already owns them (via
-        // `reserve`) publishes without re-acquiring; anyone else — a
-        // different thread whose region is in flight, or a nested call
-        // from inside a region body — runs every chunk inline on its own
-        // stack. The inline fallback is work-conserving, and reductions
-        // stay bit-identical because per-chunk partials are combined by a
+        // Claim the worker lanes. While another region is in flight — a
+        // different thread's, or the one whose body makes this nested
+        // call — every chunk runs inline on the caller's stack. The
+        // inline fallback is work-conserving, and reductions stay
+        // bit-identical because per-chunk partials are combined by a
         // fixed tree regardless of which thread produced them.
-        let me = thread_token();
-        let acquired = if self.region_owner.load(Ordering::Relaxed) == me {
-            if self.owner_in_region.load(Ordering::Relaxed) {
-                for chunk in 0..n_chunks {
-                    body(0, chunk);
-                }
-                finish_region_span(span, sched, n_chunks);
-                return;
-            }
-            false
-        } else if self
-            .region_owner
-            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
+        if self
+            .region_busy
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
         {
-            true
-        } else {
             for chunk in 0..n_chunks {
                 body(0, chunk);
             }
             finish_region_span(span, sched, n_chunks);
             return;
-        };
-        self.owner_in_region.store(true, Ordering::Relaxed);
+        }
 
         let wide: &(dyn Fn(usize, usize) + Sync) = &body;
         // SAFETY: lifetime erasure only; `run_region_sched` blocks until
@@ -382,10 +299,7 @@ impl ThreadPool {
         // Release the claim before the panic check so a panicking region
         // never leaks ownership (a leaked claim would force every later
         // region from other threads down the inline path forever).
-        self.owner_in_region.store(false, Ordering::Relaxed);
-        if acquired {
-            self.region_owner.store(0, Ordering::Release);
-        }
+        self.region_busy.store(false, Ordering::Release);
 
         if region.panicked.load(Ordering::Acquire) {
             let payload = region
@@ -917,41 +831,6 @@ mod tests {
         });
         assert_eq!(outer.load(Ordering::Relaxed), 8);
         assert_eq!(inner.load(Ordering::Relaxed), 40);
-    }
-
-    #[test]
-    fn reserve_diverts_other_threads_and_keeps_the_owner_pooled() {
-        let pool = ThreadPool::new(4);
-        let handle = pool.reserve();
-        // Another thread's region completes inline while the claim is held.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let n = AtomicUsize::new(0);
-                pool.run_region(16, |lane, _c| {
-                    assert_eq!(lane, 0, "non-owner regions must run inline");
-                    n.fetch_add(1, Ordering::Relaxed);
-                });
-                assert_eq!(n.load(Ordering::Relaxed), 16);
-            });
-        });
-        // The owner's own regions still use the workers.
-        let n = AtomicUsize::new(0);
-        pool.run_region(64, |_l, _c| {
-            n.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(n.load(Ordering::Relaxed), 64);
-        drop(handle);
-        // Released: another thread can claim and run pooled again.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _h = pool.reserve();
-                let n = AtomicUsize::new(0);
-                pool.run_region(32, |_l, _c| {
-                    n.fetch_add(1, Ordering::Relaxed);
-                });
-                assert_eq!(n.load(Ordering::Relaxed), 32);
-            });
-        });
     }
 
     #[test]

@@ -111,7 +111,8 @@ fn kind_code(k: SpanKind) -> u8 {
         SpanKind::Reduce => 2,
         SpanKind::Phase => 3,
         SpanKind::Replay => 4,
-        SpanKind::Shard => 5,
+        // 5 is reserved: it named a retired span kind, and recordings
+        // are decoded by another process, so codes are never reused.
         SpanKind::Unit => 6,
     }
 }
@@ -123,7 +124,6 @@ fn kind_from_code(c: u8) -> Option<SpanKind> {
         2 => Some(SpanKind::Reduce),
         3 => Some(SpanKind::Phase),
         4 => Some(SpanKind::Replay),
-        5 => Some(SpanKind::Shard),
         6 => Some(SpanKind::Unit),
         _ => None,
     }
@@ -659,6 +659,10 @@ mod tests {
             rec.events[5],
             FlightEvent::PeakRss { kb: 12345, .. }
         ));
+        // Span-kind codes are a cross-process format: `Unit` keeps 6 and
+        // the reserved 5 decodes to nothing.
+        assert_eq!(kind_code(SpanKind::Unit), 6);
+        assert_eq!(kind_from_code(5), None);
     }
 
     #[test]

@@ -14,18 +14,24 @@
 //!
 //! This module records and unions; it renders no verdicts. The
 //! `sycl-verify` crate installs a [`Sink`] and turns each finished
-//! [`LoopTrace`] into diagnostics. Like the span/counter layer, the
-//! disabled path is one branch per access (a `sid != 0` register
-//! compare in the views — datasets created while shadow is off carry
-//! shadow id 0), and recording only ever *observes* memory, so shadow
-//! runs are bit-identical to fast-path runs.
+//! [`LoopTrace`] into diagnostics. The state is process-global, so only
+//! one session's loops are traced ([`trace_session`]): the DSLs open
+//! loops and units only when [`traces`] names the launching session,
+//! and other sessions running meanwhile stay out of the trace. Like
+//! the span/counter layer, the disabled path is one branch per access
+//! (a `sid != 0` register compare in the views — datasets created while
+//! shadow is off carry shadow id 0), and recording only ever *observes*
+//! memory, so shadow runs are bit-identical to fast-path runs.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Process-wide shadow-mode switch.
 static SHADOW: AtomicBool = AtomicBool::new(false);
+
+/// Id of the one session whose loops are traced (0 = none).
+static TRACED: AtomicU64 = AtomicU64::new(0);
 
 /// Is shadow recording on? One relaxed load; views additionally guard
 /// on their captured shadow id, so fully-disabled runs never get here.
@@ -40,11 +46,25 @@ pub fn set_shadow(on: bool) {
     SHADOW.store(on, Ordering::Relaxed);
 }
 
-/// Drop all shadow state: registry, active loop, sink. Called by the
-/// verifier when it detaches, so one instrumented run cannot leak
-/// bitmaps or stale init-tracking into the next.
+/// Trace the loops of session `id` only. Datasets still register
+/// whenever shadow mode is on, but loops and units of every other
+/// session run untraced.
+pub fn trace_session(id: u64) {
+    TRACED.store(id, Ordering::Relaxed);
+}
+
+/// Are the loops of session `id` traced? One relaxed load.
+#[inline]
+pub fn traces(id: u64) -> bool {
+    id != 0 && TRACED.load(Ordering::Relaxed) == id
+}
+
+/// Drop all shadow state: registry, traced session, active loop, sink.
+/// Called by the verifier when it detaches, so one instrumented run
+/// cannot leak bitmaps or stale init-tracking into the next.
 pub fn reset_shadow() {
     set_shadow(false);
+    trace_session(0);
     lock(&REGISTRY).clear();
     *lock(&ACTIVE) = None;
     *lock(&SINK) = None;
@@ -371,7 +391,7 @@ struct ActiveLoop {
 
 static ACTIVE: Mutex<Option<ActiveLoop>> = Mutex::new(None);
 
-/// Begin recording a loop. Call only when shadow is on and the session
+/// Begin recording a loop. Call only for a traced session that
 /// executes bodies; a loop already active is replaced (and dropped).
 pub fn begin_loop(decl: LoopDecl) {
     *lock(&ACTIVE) = Some(ActiveLoop {
@@ -511,17 +531,28 @@ thread_local! {
     static UNIT: RefCell<UnitState> = RefCell::new(UnitState::default());
 }
 
-/// Enter one execution unit (tile / chunk / block) on this thread.
-pub fn begin_unit() {
-    if !shadow_on() {
-        return;
+/// Run one execution unit (tile / chunk / block) of a loop, recording
+/// its accesses when `traced` (the launching session's
+/// `Session::shadowed`); untraced units just run `f`.
+#[inline]
+pub fn unit<R>(traced: bool, f: impl FnOnce() -> R) -> R {
+    if !traced {
+        return f();
     }
+    begin_unit();
+    let r = f();
+    end_unit();
+    r
+}
+
+/// Enter one execution unit on this thread.
+fn begin_unit() {
     UNIT.with(|u| u.borrow_mut().depth += 1);
 }
 
 /// Leave the unit: merge its bitmaps into the active loop and detect
 /// overlap against the units already merged in this phase.
-pub fn end_unit() {
+fn end_unit() {
     UNIT.with(|cell| {
         let mut u = cell.borrow_mut();
         if u.depth == 0 {
@@ -821,6 +852,24 @@ mod tests {
             end_loop();
         });
         assert_eq!(traces[0].dats[0].uninit_reads, 0);
+    }
+
+    #[test]
+    fn only_the_named_session_is_traced_and_untraced_units_stay_out() {
+        let _l = lock(&TEST_LOCK);
+        trace_session(7);
+        assert!(traces(7) && !traces(8) && !traces(0));
+        let traces_seen = capture(|| {
+            set_shadow(true);
+            let id = register_dat("u", 8.0, grid4());
+            begin_loop(decl("k"));
+            unit(true, || record_write(id, 3, 16));
+            unit(false, || record_write(id, 5, 16)); // another session's unit
+            end_loop();
+        });
+        assert!(!traces(7), "reset clears the traced session");
+        let write = &traces_seen[0].dats[0].write;
+        assert!(write.get(3) && !write.get(5));
     }
 
     #[test]

@@ -194,6 +194,8 @@ impl Collector {
 
 /// Serialises shadow-instrumented runs: the shadow registry is process-
 /// global, so two concurrently attached verifiers would mix traces.
+/// Plain sessions need no lock: only the attached session's loops are
+/// traced (see [`Session::shadowed`]).
 static VERIFY_LOCK: Mutex<()> = Mutex::new(());
 
 /// An attached verification context. Create with [`Verifier::attach`]
@@ -222,6 +224,7 @@ impl Verifier {
         let exclusive = VERIFY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         shadow::reset_shadow();
         shadow::set_shadow(true);
+        shadow::trace_session(session.id());
 
         let collector = Arc::new(Mutex::new(Collector::new(passes)));
         let sink_collector = Arc::clone(&collector);
