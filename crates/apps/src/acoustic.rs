@@ -7,7 +7,7 @@
 //! on the Ampere Altra (§4.2: "auto-vectorization did not work for SYCL
 //! - but it did for MPI/OpenMP").
 
-use crate::common::{alloc_block, phase_span, read_back, stage_uploads, summarise, App, AppRun};
+use crate::common::{alloc_block, read_back, stage_uploads, summarise, App, AppRun};
 use crate::rtm::LAP8;
 use ops_dsl::prelude::*;
 use ops_dsl::{DatMeta, ReadView, WriteView};
@@ -52,7 +52,7 @@ impl App for Acoustic {
     }
 
     fn run(&self, session: &Session) -> AppRun {
-        let _span = crate::common::app_span(self.name());
+        let _span = telemetry::span(telemetry::SpanKind::Region, self.name());
         let logical = self.logical_block();
         let ab = alloc_block(session, logical);
         let interior = logical.interior();
@@ -123,7 +123,7 @@ impl App for Acoustic {
         // Read the final wavefield back for the host-side energy sum.
         read_back(session, &logical, &[field.meta()]);
 
-        let _p = phase_span("energy");
+        let _p = telemetry::span(telemetry::SpanKind::Phase, "energy");
         let validation = if session.executes() {
             let p = field.reader();
             ParLoop::new("energy", interior)

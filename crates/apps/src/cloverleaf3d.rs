@@ -5,7 +5,7 @@
 //! boundary loops (7.8 % on the A100, 11.1 % on the MI250X) because the
 //! face-to-volume ratio is higher at 408³ than at 7680².
 
-use crate::common::{alloc_block, phase_span, read_back, stage_uploads, summarise, App, AppRun};
+use crate::common::{alloc_block, read_back, stage_uploads, summarise, App, AppRun};
 use ops_dsl::prelude::*;
 use ops_dsl::{DatMeta, WriteView};
 use sycl_sim::{quirks::apps, Session};
@@ -99,7 +99,7 @@ impl App for CloverLeaf3d {
     }
 
     fn run(&self, session: &Session) -> AppRun {
-        let _span = crate::common::app_span(self.name());
+        let _span = telemetry::span(telemetry::SpanKind::Region, self.name());
         let logical = self.logical_block();
         let ab = alloc_block(session, logical);
         let mut st = State::new(&ab);
@@ -309,7 +309,7 @@ impl App for CloverLeaf3d {
         let mut validation = f64::NAN;
 
         // field_summary
-        let _p = phase_span("field_summary");
+        let _p = telemetry::span(telemetry::SpanKind::Phase, "field_summary");
         if session.executes() {
             let d = st.density.reader();
             validation = ParLoop::new("field_summary", interior)

@@ -29,55 +29,6 @@ pub trait App: Send + Sync {
     fn run(&self, session: &Session) -> AppRun;
 }
 
-/// RAII guard tracing one whole application run. Records a `RegionSpan`
-/// named after the app when dropped (so early returns and panics during
-/// a run still close the span); a no-op when telemetry is disabled.
-pub struct AppSpan {
-    timer: Option<telemetry::SpanTimer>,
-    name: &'static str,
-}
-
-impl Drop for AppSpan {
-    fn drop(&mut self) {
-        if let Some(t) = self.timer.take() {
-            t.finish(telemetry::SpanKind::Region, self.name, 0, 0.0);
-        }
-    }
-}
-
-/// Open the app-level span; hold the guard for the whole `run`.
-pub fn app_span(name: &'static str) -> AppSpan {
-    AppSpan {
-        timer: telemetry::SpanTimer::start(),
-        name,
-    }
-}
-
-/// RAII guard tracing one named application phase — a group of launches
-/// under one algorithmic step (`advec_cell`, `flux_calc`, ...). Emits a
-/// `Phase` span when dropped; a single-branch no-op when telemetry is
-/// disabled, so the functional fast path and its ledger stay untouched.
-pub struct PhaseSpan {
-    timer: Option<telemetry::SpanTimer>,
-    name: &'static str,
-}
-
-impl Drop for PhaseSpan {
-    fn drop(&mut self) {
-        if let Some(t) = self.timer.take() {
-            t.finish(telemetry::SpanKind::Phase, self.name, 0, 0.0);
-        }
-    }
-}
-
-/// Open a phase-level span; hold the guard for the phase's launches.
-pub fn phase_span(name: &'static str) -> PhaseSpan {
-    PhaseSpan {
-        timer: telemetry::SpanTimer::start(),
-        name,
-    }
-}
-
 /// The block used for *allocation*: full-size when the session executes
 /// kernels, tiny when dry-running (footprints never look at the data).
 pub fn alloc_block(session: &Session, logical: Block) -> Block {

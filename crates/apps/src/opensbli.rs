@@ -18,7 +18,7 @@
 //! boundaries. Both variants implement *exactly* the same scheme, so
 //! their results must agree to the bit — which the test suite asserts.
 
-use crate::common::{alloc_block, phase_span, read_back, stage_uploads, summarise, App, AppRun};
+use crate::common::{alloc_block, read_back, stage_uploads, summarise, App, AppRun};
 use ops_dsl::prelude::*;
 use ops_dsl::{DatMeta, WriteView};
 use sycl_sim::{quirks::apps, KernelTraits, Session};
@@ -133,7 +133,7 @@ impl App for OpenSbli {
     }
 
     fn run(&self, session: &Session) -> AppRun {
-        let _span = crate::common::app_span(self.name());
+        let _span = telemetry::span(telemetry::SpanKind::Region, self.name());
         let logical = self.logical_block();
         let ab = alloc_block(session, logical);
         let interior = logical.interior();
@@ -336,7 +336,7 @@ impl App for OpenSbli {
 
         // Validation: total of q0 (the scheme is conservative under
         // periodic boundaries).
-        let _p = phase_span("checksum");
+        let _p = telemetry::span(telemetry::SpanKind::Phase, "checksum");
         let validation = if session.executes() {
             let r = q[0].reader();
             ParLoop::new("checksum", interior)

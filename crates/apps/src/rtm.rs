@@ -6,7 +6,7 @@
 //! locality and vectorization" — in our model that is the radius-4 star
 //! whose tile footprint overwhelms the MI250X's 16 KB L1.
 
-use crate::common::{alloc_block, phase_span, read_back, stage_uploads, summarise, App, AppRun};
+use crate::common::{alloc_block, read_back, stage_uploads, summarise, App, AppRun};
 use ops_dsl::prelude::*;
 use ops_dsl::{DatMeta, ReadView, WriteView};
 use sycl_sim::{quirks::apps, Session};
@@ -59,7 +59,7 @@ impl App for Rtm {
     }
 
     fn run(&self, session: &Session) -> AppRun {
-        let _span = crate::common::app_span(self.name());
+        let _span = telemetry::span(telemetry::SpanKind::Region, self.name());
         let logical = self.logical_block();
         let ab = alloc_block(session, logical);
         let interior = logical.interior();
@@ -85,7 +85,7 @@ impl App for Rtm {
         // The ping-pong swap is encoded as two parity graphs: the even
         // graph reads `curr` and writes `prev`, the odd graph the
         // reverse. Replaying them alternately reproduces the eager
-        // swap-per-iteration loop with one ledger lock per iteration.
+        // swap-per-iteration loop with one commit lock set per iteration.
         {
             let cm = curr.meta();
             let pm = prev.meta();
@@ -122,7 +122,7 @@ impl App for Rtm {
 
         // Validation: wavefield energy (finite, non-zero once the source
         // has propagated).
-        let _p = phase_span("image_energy");
+        let _p = telemetry::span(telemetry::SpanKind::Phase, "image_energy");
         let validation = if session.executes() {
             let p = field.reader();
             ParLoop::new("image_energy", interior)

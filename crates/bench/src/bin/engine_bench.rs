@@ -245,10 +245,10 @@ fn reduce_class(n: usize, launches: usize, samples: usize) -> (Entry, Entry, f64
 
 /// Record-once/replay-many vs eager per-launch over the same sequence
 /// of streaming kernels with trivial bodies. Neither path enters a pool
-/// region, so this times the launch layers themselves: the eager loop
-/// pays price-lookup + ledger lock + span per launch, the replay prices
-/// the whole sequence under one cache lock and commits it under one
-/// ledger lock.
+/// region, so this times the launch stages themselves: the eager loop
+/// pays price lookup + commit lock set + span per launch, the replay
+/// prices the whole sequence under one cache lock and commits it under
+/// one lock set.
 fn replay_class(launches: usize, replays: usize, samples: usize) -> (Entry, Entry, f64) {
     use sycl_sim::Kernel;
     let ks: Vec<Kernel> = (0..launches)

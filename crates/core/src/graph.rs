@@ -2,30 +2,26 @@
 //!
 //! A [`GraphBuilder`] records a sequence of launches (plus transfers,
 //! halo exchanges and phase markers) as [`LaunchNode`]s with functional
-//! bodies. [`LaunchGraph::replay`] then runs the four launch layers in
-//! batch: the whole graph is priced under **one** pricing-cache lock
-//! acquisition, the bodies execute back-to-back, and the whole sequence
-//! commits under **one** ledger lock acquisition — instead of one of
-//! each per launch on the eager path.
+//! bodies. [`LaunchGraph::replay`] then loops the per-op stage functions
+//! of [`crate::launch`] — the same ones each eager [`Session`] call runs
+//! once — stage by stage: every launch is priced under **one**
+//! pricing-cache lock acquisition, the bodies execute back-to-back, and
+//! every op commits under **one** ledger → cache → residency lock set.
 //!
 //! The non-negotiable invariant: a replayed graph leaves the ledger
-//! **bit-identical** to launching the same sequence eagerly. Commit
-//! applies ops in recorded order with the same floating-point
-//! accumulation, the same interning and the same observer ordering. A
-//! session built with [`SessionConfig::eager_launches`] makes `replay`
-//! fall back to the per-launch path, which is how the equivalence tests
-//! cross-check the two.
+//! **bit-identical** to running the same sequence as eager calls (or as
+//! one-op graphs). Commit applies ops in recorded order with the same
+//! floating-point accumulation, the same interning and the same
+//! observer ordering.
 
 use crate::kernel::Kernel;
-use crate::launch::commit::Ledger;
-use crate::launch::execute::LaunchSpan;
-use crate::launch::price::{PriceCache, PriceContext, Priced};
+use crate::launch::commit::CommitOp;
+use crate::launch::execute::execute;
+use crate::launch::price::Priced;
 use crate::launch::record::{LaunchMeta, LaunchNode};
-use crate::launch::residency::ResidencyTracker;
-use crate::session::{LaunchRecord, Session};
+use crate::session::Session;
 use machine_model::{Precision, TransferDir};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One recorded operation.
 // Launch dominates real graphs (phases/exchanges are bookkeeping), so
@@ -136,14 +132,9 @@ impl<'a> GraphBuilder<'a> {
         self.transfer_dir(bytes, Vec::new(), TransferDir::H2D);
     }
 
-    /// Record a host→device transfer declaring which datasets it moves
-    /// (by shadow-registry id), for the dead-transfer and residency
-    /// lints and for elision.
-    pub fn transfer_dats(&mut self, bytes: f64, dats: Vec<u32>) {
-        self.transfer_dir(bytes, dats, TransferDir::H2D);
-    }
-
-    /// Record a staging upload (host→device) of the given datasets.
+    /// Record a staging upload (host→device) of the given datasets (by
+    /// shadow-registry id), for the dead-transfer and residency lints
+    /// and for elision.
     pub fn upload_dats(&mut self, bytes: f64, dats: Vec<u32>) {
         self.transfer_dir(bytes, dats, TransferDir::H2D);
     }
@@ -340,214 +331,98 @@ impl LaunchGraph<'_> {
         }
     }
 
-    /// Replay the graph on `session`: price every launch in one pass
-    /// (served by the fingerprint cache under a single lock), execute
-    /// the functional bodies, then append the whole sequence to the
-    /// ledger under a single lock acquisition. Observers fire per record
-    /// in ledger order after the lock is released.
-    ///
-    /// On sessions configured with [`crate::SessionConfig::eager_launches`]
-    /// the replay degrades to per-launch eager calls; the resulting
-    /// ledger is bit-identical either way.
+    /// Replay the graph on `session`, stage by stage: price every
+    /// launch under one cache lock, execute the bodies in recorded
+    /// order with no lock held, commit every op under one ledger →
+    /// cache → residency lock set, then deliver the launch records to
+    /// the observer after the locks are released.
     pub fn replay(&self, session: &Session) {
         self.notify_observer(session);
-        if !session.config().graph_replay {
-            return self.replay_eager(session);
-        }
-        let replay_span = telemetry::SpanTimer::start();
-        self.run_stages(session);
-        if let Some(t) = replay_span {
-            t.finish(
-                telemetry::SpanKind::Replay,
-                "graph.replay",
-                self.launches,
-                0.0,
-            );
-        }
-    }
+        let _span = telemetry::span(telemetry::SpanKind::Replay, "graph.replay").with(
+            self.launches,
+            0.0,
+            0.0,
+        );
 
-    /// The batched stages behind [`LaunchGraph::replay`]: price every
-    /// launch (one cache lock), execute the bodies, commit every op (one
-    /// ledger lock), then deliver the launch records to the observer.
-    fn run_stages(&self, session: &Session) {
-        let priced = {
+        let priced: Vec<Option<Priced>> = {
             let ctx = session.price_context();
             let mut cache = session.price_cache();
-            self.price_stage(&ctx, &mut cache)
+            self.ops
+                .iter()
+                .map(|op| match op {
+                    GraphOp::Launch { node, .. } => Some(cache.price(&ctx, &node.kernel, node.key)),
+                    _ => None,
+                })
+                .collect()
         };
 
-        self.execute_stage(session, &priced);
+        {
+            let mut phases = Vec::new();
+            for (op, p) in self.ops.iter().zip(&priced) {
+                match op {
+                    GraphOp::Launch { body, .. } => {
+                        execute(p.as_ref().expect("launch ops are priced"), || body(session))
+                    }
+                    GraphOp::PhaseBegin { name } => {
+                        phases.push(telemetry::span(telemetry::SpanKind::Phase, *name))
+                    }
+                    GraphOp::PhaseEnd => drop(phases.pop()),
+                    _ => {}
+                }
+            }
+        }
 
-        let (observations, observer) = {
-            // Lock order: ledger → cache → residency (see `Session`).
-            let mut led = session.ledger();
-            let mut cache = session.price_cache();
-            let mut res = session.residency_tracker();
-            let observations = self.commit_stage(session, &mut led, &mut cache, &mut res, &priced);
-            (observations, led.observer.clone())
+        let observed: Vec<_> = {
+            let mut c = session.commit_locks();
+            self.ops
+                .iter()
+                .zip(&priced)
+                .filter_map(|(op, p)| c.commit(op.commit_op(p.as_ref())?))
+                .collect()
         };
-        if let Some(obs) = observer {
-            for rec in &observations {
-                obs(rec);
-            }
+        for (obs, record) in &observed {
+            obs(record);
         }
     }
+}
 
-    /// Price stage: one entry per op (`None` for non-launches), served
-    /// by the caller-held cache lock.
-    fn price_stage(&self, ctx: &PriceContext<'_>, cache: &mut PriceCache) -> Vec<Option<Priced>> {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                GraphOp::Launch { node, .. } => Some(cache.price(ctx, &node.kernel, node.key)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Execute stage: run the functional bodies with per-launch spans.
-    fn execute_stage(&self, session: &Session, priced: &[Option<Priced>]) {
-        let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
-        let flight = telemetry::flight::recording();
-        for (op, p) in self.ops.iter().zip(priced) {
-            match op {
-                GraphOp::Launch { node, body, .. } => {
-                    let span = LaunchSpan::start();
-                    let p = p.as_ref().expect("launch ops are priced");
-                    if flight {
-                        telemetry::flight::span_open(telemetry::SpanKind::Launch, &p.name);
-                    }
-                    body(session);
-                    if flight {
-                        telemetry::flight::span_close(telemetry::SpanKind::Launch, &p.name);
-                    }
-                    span.finish(
-                        Arc::clone(&p.name),
-                        node.kernel.footprint.items,
-                        node.kernel.footprint.effective_bytes,
-                        p.time.total,
-                    );
-                }
-                GraphOp::PhaseBegin { name } => {
-                    if flight {
-                        telemetry::flight::span_open(telemetry::SpanKind::Phase, name);
-                    }
-                    phases.push((name, telemetry::SpanTimer::start()));
-                }
-                GraphOp::PhaseEnd => {
-                    if let Some((name, t)) = phases.pop() {
-                        if flight {
-                            telemetry::flight::span_close(telemetry::SpanKind::Phase, name);
-                        }
-                        if let Some(t) = t {
-                            t.finish(telemetry::SpanKind::Phase, name, 0, 0.0);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Commit stage: append ops in recorded order into the caller-held
-    /// ledger lock, returning each launch's record for post-unlock
-    /// observer delivery. Comm ops price through the caller-held price
-    /// cache and residency tracker — in recorded order, so elision
-    /// decisions are identical to the eager fallback's.
-    fn commit_stage(
-        &self,
-        session: &Session,
-        led: &mut Ledger,
-        cache: &mut PriceCache,
-        res: &mut ResidencyTracker,
-        priced: &[Option<Priced>],
-    ) -> Vec<LaunchRecord> {
-        let pricing = session.config().transfer_pricing;
-        let mut observations = Vec::new();
-        for (op, p) in self.ops.iter().zip(priced) {
-            match op {
-                GraphOp::Launch { meta, .. } => {
-                    let rec = led.append(p.as_ref().expect("launch ops are priced"));
-                    observations.push(rec);
-                    if pricing {
-                        res.apply_launch(meta);
-                    }
-                }
-                GraphOp::Exchange {
-                    bytes, messages, ..
-                } => {
-                    if let Some(t) = session.comm_exchange_time(*bytes, *messages, cache) {
-                        led.charge_comm(t);
-                    }
-                }
-                GraphOp::Transfer { bytes, dats, dir } => {
-                    if let Some(t) = session.comm_transfer_time(*bytes, dats, *dir, cache, res) {
-                        led.charge_comm(t);
-                    }
-                }
-                _ => {}
-            }
-        }
-        observations
-    }
-
-    /// The eager fallback: each op goes through the per-launch session
-    /// API, exactly as un-graphed code would.
-    pub(crate) fn replay_eager(&self, session: &Session) {
-        let mut phases: Vec<(&'static str, Option<telemetry::SpanTimer>)> = Vec::new();
-        let flight = telemetry::flight::recording();
-        for op in &self.ops {
-            match op {
-                GraphOp::Launch { node, meta, body } => {
-                    // Launch flight events come from `launch_timed`.
-                    session.launch(&node.kernel, || body(session));
-                    session.note_kernel_residency(meta);
-                }
-                GraphOp::Exchange {
-                    bytes, messages, ..
-                } => session.exchange(*bytes, *messages),
-                GraphOp::Transfer { bytes, dats, dir } => session.transfer_with(*bytes, dats, *dir),
-                GraphOp::PhaseBegin { name } => {
-                    if flight {
-                        telemetry::flight::span_open(telemetry::SpanKind::Phase, name);
-                    }
-                    phases.push((name, telemetry::SpanTimer::start()));
-                }
-                GraphOp::PhaseEnd => {
-                    if let Some((name, t)) = phases.pop() {
-                        if flight {
-                            telemetry::flight::span_close(telemetry::SpanKind::Phase, name);
-                        }
-                        if let Some(t) = t {
-                            t.finish(telemetry::SpanKind::Phase, name, 0, 0.0);
-                        }
-                    }
-                }
-            }
-        }
+impl GraphOp<'_> {
+    /// This op as the commit stage sees it (`None` for phase markers,
+    /// which have no ledger effect).
+    fn commit_op<'o>(&'o self, priced: Option<&'o Priced>) -> Option<CommitOp<'o>> {
+        Some(match self {
+            GraphOp::Launch { meta, .. } => CommitOp::Launch {
+                priced: priced.expect("launch ops are priced"),
+                meta,
+            },
+            GraphOp::Exchange {
+                bytes, messages, ..
+            } => CommitOp::Exchange {
+                bytes: *bytes,
+                messages: *messages,
+            },
+            GraphOp::Transfer { bytes, dats, dir } => CommitOp::Transfer {
+                bytes: *bytes,
+                dats,
+                dir: *dir,
+            },
+            GraphOp::PhaseBegin { .. } | GraphOp::PhaseEnd => return None,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionConfig;
+    use crate::session::{LaunchRecord, SessionConfig};
     use crate::toolchain::Toolchain;
     use machine_model::PlatformId;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn session() -> Session {
         Session::create(SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app("graph"))
             .unwrap()
-    }
-
-    fn eager_session() -> Session {
-        Session::create(
-            SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda)
-                .app("graph")
-                .eager_launches(),
-        )
-        .unwrap()
     }
 
     #[test]
@@ -574,26 +449,6 @@ mod tests {
         }
         assert_eq!(batched.ledger_digest(), eager.ledger_digest());
         assert_eq!(batched.elapsed().to_bits(), eager.elapsed().to_bits());
-    }
-
-    #[test]
-    fn eager_launches_config_falls_back_per_launch_with_equal_ledger() {
-        let k = Kernel::streaming("x", 1 << 16, 1e6, 0.0);
-        let batched = session();
-        let eager = eager_session();
-        for s in [&batched, &eager] {
-            let mut g = s.record();
-            g.phase("step");
-            g.launch(&k, |_| {});
-            g.launch(&k, |_| {});
-            g.end_phase();
-            let g = g.finish();
-            assert_eq!(g.n_launches(), 2);
-            g.replay(s);
-            g.replay(s);
-        }
-        assert_eq!(batched.ledger_digest(), eager.ledger_digest());
-        assert_eq!(batched.records().len(), 4);
     }
 
     #[test]
@@ -726,7 +581,7 @@ mod tests {
         );
         g.launch(&k, |_| {}); // plain launch: opaque metadata
         g.exchange_dats(4096.0, 8, vec![7]);
-        g.transfer_dats(1024.0, vec![9]);
+        g.upload_dats(1024.0, vec![9]);
         g.end_phase();
         let g = g.finish();
         let sum = g.summary();

@@ -1,10 +1,15 @@
-//! Layer 4 — **commit**: append priced work to the session ledger.
-//! The ledger mutex is the only lock this layer takes, and an append is
-//! the only thing done under it — observers run after release.
+//! Layer 4 — **commit**: apply one priced op to the session's committed
+//! state — the ledger append, the residency update and comm pricing —
+//! under the session's three locks, taken in the order ledger → cache →
+//! residency. Observers run after release (the observe stage), on the
+//! `(observer, record)` pairs the commit returns.
 
-use crate::launch::price::Priced;
-use crate::session::{LaunchObserver, LaunchRecord};
+use crate::launch::price::{PriceCache, Priced};
+use crate::launch::record::LaunchMeta;
+use crate::launch::residency::ResidencyTracker;
+use crate::session::{LaunchObserver, LaunchRecord, Session};
 use machine_model::{Platform, TransferDir};
+use parkit::sync::MutexGuard;
 use std::sync::Arc;
 
 /// Intra-node MPI message latency (shared-memory transport).
@@ -34,25 +39,83 @@ impl Ledger {
     }
 
     /// Append one priced launch: advance the clock, push the record.
-    /// Returns the record so the caller can invoke the observer after
-    /// releasing the lock.
-    pub fn append(&mut self, p: &Priced) -> LaunchRecord {
-        let record = LaunchRecord {
+    pub fn append(&mut self, p: &Priced) -> &LaunchRecord {
+        self.elapsed += p.time.total;
+        self.records.push(LaunchRecord {
             name: Arc::clone(&p.name),
             time: p.time,
             items: p.items,
             effective_bytes: p.effective_bytes,
             boundary: p.boundary,
-        };
-        self.elapsed += p.time.total;
-        self.records.push(record.clone());
-        record
+        });
+        self.records.last().expect("just pushed")
     }
 
     /// Charge communication time (transfers, halo exchanges).
     pub fn charge_comm(&mut self, t: f64) {
         self.elapsed += t;
         self.comm_time += t;
+    }
+}
+
+/// One op as the commit stage sees it, borrowed from a recorded graph
+/// node or from an eager call.
+pub(crate) enum CommitOp<'o> {
+    Launch {
+        priced: &'o Priced,
+        meta: &'o LaunchMeta,
+    },
+    Exchange {
+        bytes: f64,
+        messages: u64,
+    },
+    Transfer {
+        bytes: f64,
+        dats: &'o [u32],
+        dir: TransferDir,
+    },
+}
+
+/// The three locks the commit stage holds, taken in the order ledger →
+/// cache → residency ([`Session::commit_locks`]). An eager call holds
+/// them for one op, a graph replay for its whole sequence.
+pub(crate) struct CommitLocks<'s> {
+    pub session: &'s Session,
+    pub led: MutexGuard<'s, Ledger>,
+    pub cache: MutexGuard<'s, PriceCache>,
+    pub res: MutexGuard<'s, ResidencyTracker>,
+}
+
+impl CommitLocks<'_> {
+    /// Commit stage for one op. A launch appends its ledger record and
+    /// applies its declared writes to the residency map; a transfer or
+    /// exchange is priced (elided transfers cost nothing) and charged to
+    /// the clock. Returns the launch observer and the launch's record
+    /// when an observer is installed; the caller invokes it once the
+    /// locks are released (observers may call back into the session).
+    pub fn commit(&mut self, op: CommitOp<'_>) -> Option<(LaunchObserver, LaunchRecord)> {
+        let s = self.session;
+        let comm = match op {
+            CommitOp::Launch { priced, meta } => {
+                let observer = self.led.observer.clone();
+                let record = self.led.append(priced);
+                let observed = observer.map(|obs| (obs, record.clone()));
+                if s.config().transfer_pricing {
+                    self.res.apply_launch(meta);
+                }
+                return observed;
+            }
+            CommitOp::Exchange { bytes, messages } => {
+                s.comm_exchange_time(bytes, messages, &mut self.cache)
+            }
+            CommitOp::Transfer { bytes, dats, dir } => {
+                s.comm_transfer_time(bytes, dats, dir, &mut self.cache, &mut self.res)
+            }
+        };
+        if let Some(t) = comm {
+            self.led.charge_comm(t);
+        }
+        None
     }
 }
 

@@ -1,49 +1,20 @@
-//! Layer 3 — **execute**: run the functional body (on parkit, via the
-//! caller's closure) and emit the launch telemetry that goes with it.
-//! This layer owns the wall-clock span and the `launches`/`bytes_moved`
-//! counters; it never touches the ledger or the pricing cache.
+//! Layer 3 — **execute**: run one functional body (on parkit, via the
+//! caller's closure) inside its launch span. This layer owns the launch
+//! telemetry; it never touches the ledger or the pricing cache.
 
-use std::sync::Arc;
+use crate::launch::price::Priced;
 
-/// Wall-clock span plus counters around one launch. Construction is the
-/// single branch the disabled path pays.
-pub(crate) struct LaunchSpan(Option<telemetry::SpanTimer>);
-
-impl LaunchSpan {
-    /// Start timing a launch (no-op when telemetry is disabled).
-    pub fn start() -> LaunchSpan {
-        LaunchSpan(telemetry::SpanTimer::start())
-    }
-
-    /// Finish the span: bump the launch counters and record a
-    /// `LaunchSpan` carrying the kernel name, iteration count, effective
-    /// bytes and the simulated seconds, so traces can report achieved
-    /// GB/s per kernel.
-    pub fn finish(self, name: Arc<str>, items: u64, effective_bytes: f64, sim_secs: f64) {
-        if let Some(t) = self.0 {
-            telemetry::Counters::add(&telemetry::counters().launches, 1);
-            telemetry::Counters::add(&telemetry::counters().bytes_moved, effective_bytes as u64);
-            t.finish_timed(
-                telemetry::SpanKind::Launch,
-                name,
-                items,
-                effective_bytes,
-                sim_secs,
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_span_is_free_and_silent() {
-        // Telemetry is off by default in tests: the span must be None
-        // and finishing it must not record anything.
-        let s = LaunchSpan::start();
-        assert!(s.0.is_none());
-        s.finish(Arc::from("k"), 1, 8.0, 1e-6);
-    }
+/// Execute stage for one launch: open the `Launch` span, run `body`,
+/// close the span. The span's flight open is written before the body
+/// runs, so a crash inside the body leaves this launch open in the
+/// recording — the attribution `blackbox` reads. The span carries the
+/// kernel name, iteration count, effective bytes and simulated seconds,
+/// so traces can report achieved GB/s per kernel.
+pub(crate) fn execute<R>(priced: &Priced, body: impl FnOnce() -> R) -> R {
+    let _span = telemetry::span(telemetry::SpanKind::Launch, &priced.name).with(
+        priced.items,
+        priced.effective_bytes,
+        priced.time.total,
+    );
+    body()
 }

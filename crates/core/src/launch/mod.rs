@@ -1,14 +1,19 @@
-//! The launch path, split into four explicit, separately-testable layers:
+//! The launch path: one per-op implementation of each stage.
 //!
 //! 1. [`record`] — build a [`LaunchNode`] from kernel + traits, no lock.
 //! 2. [`price`] — quirks + toolchain `ExecProfile` + platform model,
 //!    served by the fingerprint cache.
-//! 3. [`execute`] — the functional body on parkit, plus launch telemetry.
-//! 4. [`commit`] — one ledger append under the lock.
+//! 3. [`execute`] — one functional body on parkit, inside its launch
+//!    span.
+//! 4. [`commit`] — one op's ledger append, residency update and comm
+//!    pricing, then the observe stage after the locks are released.
 //!
-//! [`Session::launch`](crate::Session::launch) is the thin eager
-//! composition of the four; [`LaunchGraph`](crate::LaunchGraph) records a
-//! sequence once and replays it with one ledger lock per replay.
+//! The stages have two callers. Each eager [`Session`](crate::Session)
+//! call (`launch`, `transfer`/`upload`/`download`, `exchange`) runs one op
+//! through them; [`LaunchGraph::replay`](crate::LaunchGraph::replay)
+//! loops them over a recorded sequence, holding the cache lock once for
+//! pricing and the commit lock set once for committing. Both run
+//! price → execute → commit → observe.
 
 pub mod commit;
 pub mod execute;

@@ -20,10 +20,10 @@
 //!   real — the tracker refuses to guess;
 //! * D2D copies never touch host validity and are never elided.
 //!
-//! Elision decisions are part of the priced timeline, so both replay
-//! paths (batched commit and the eager fallback) consult this tracker
-//! through the same session helpers, in the same recorded order — the
-//! bit-identical-ledger invariant extends to elision.
+//! Elision decisions are part of the priced timeline, so eager calls
+//! and graph replays consult this tracker through the one commit stage,
+//! in the same recorded order — the bit-identical-ledger invariant
+//! extends to elision.
 
 use crate::launch::record::LaunchMeta;
 use machine_model::TransferDir;

@@ -1,22 +1,23 @@
 //! Sessions: the simulated analogue of "compile the app with toolchain X
 //! and run it on machine Y".
 //!
-//! A [`Session`] owns the simulated clock and a per-launch ledger. Every
-//! [`Session::launch`] call is a thin eager composition of the four
-//! launch layers in [`crate::launch`]: **record** builds a fingerprinted
-//! [`LaunchNode`](crate::launch::LaunchNode) with no lock, **price**
+//! A [`Session`] owns the simulated clock and a per-launch ledger. The
+//! eager calls ([`Session::launch`], [`Session::transfer`],
+//! [`Session::upload`], [`Session::download`], [`Session::exchange`])
+//! run one op through the per-op stages in [`crate::launch`]: **price**
 //! walks the quirk/toolchain/platform models (served by the fingerprint
 //! cache behind its own mutex), **execute** runs the kernel body
-//! *functionally* so the application's numerics are real, and **commit**
-//! appends one ledger entry under the ledger mutex. The batched
-//! counterpart is [`crate::LaunchGraph`], which replays a recorded
-//! sequence with a single ledger lock acquisition per replay.
+//! *functionally* inside its launch span so the application's numerics
+//! are real, **commit** applies the op to the ledger and residency map,
+//! and **observe** hands the record to the launch observer.
+//! [`crate::LaunchGraph::replay`] loops the same stage functions over a
+//! recorded sequence, holding each stage's locks once per replay.
 
 use crate::error::Failure;
 use crate::kernel::Kernel;
-use crate::launch::commit::{exchange_cost, transfer_cost, Ledger};
-use crate::launch::execute::LaunchSpan;
-use crate::launch::price::{CommOp, PriceCache, PriceContext, Priced};
+use crate::launch::commit::{exchange_cost, transfer_cost, CommitLocks, CommitOp, Ledger};
+use crate::launch::execute::execute;
+use crate::launch::price::{CommOp, PriceCache, PriceContext};
 use crate::launch::record::{fingerprint, LaunchMeta};
 use crate::launch::residency::{ResidencyTracker, TransferStats};
 use crate::quirks;
@@ -57,12 +58,6 @@ pub struct SessionConfig {
     /// Disable to force a full toolchain-model walk on every launch —
     /// only useful for benchmarking the cache itself.
     pub pricing_cache: bool,
-    /// Replay recorded [`crate::LaunchGraph`]s on the batched path (one
-    /// ledger lock per replay; on by default). Disable to make
-    /// `graph.replay` fall back to eager per-launch execution — the
-    /// ledger is bit-identical either way, which is exactly what the
-    /// equivalence tests compare.
-    pub graph_replay: bool,
     /// Price transfer/exchange nodes through the interconnect model,
     /// residency-aware (on by default). Disable via
     /// [`SessionConfig::eager_transfers`] to restore the historic
@@ -89,7 +84,6 @@ impl SessionConfig {
             scheme: None,
             dry_run: false,
             pricing_cache: true,
-            graph_replay: true,
             transfer_pricing: true,
             pinned_transfers: true,
         }
@@ -122,13 +116,6 @@ impl SessionConfig {
     /// Disable the launch-pricing cache (see `pricing_cache`).
     pub fn no_pricing_cache(mut self) -> Self {
         self.pricing_cache = false;
-        self
-    }
-
-    /// Make graph replays take the eager per-launch path (see
-    /// `graph_replay`).
-    pub fn eager_launches(mut self) -> Self {
-        self.graph_replay = false;
         self
     }
 
@@ -174,7 +161,7 @@ pub struct Session {
     cache: Mutex<PriceCache>,
     /// Per-dat host/device residency: decides which transfers are real
     /// vs elided. Lock order when multiple are held: ledger → cache →
-    /// residency (the batched commit path nests all three).
+    /// residency (the commit stage nests all three).
     residency: Mutex<ResidencyTracker>,
     /// Static-analysis observer for replayed graphs. The flag lets the
     /// replay hot path skip the lock when no observer is installed.
@@ -281,8 +268,8 @@ impl Session {
         self.graph_observer.lock().clone()
     }
 
-    /// Price and record one kernel launch, then run `body` functionally.
-    /// Returns whatever the body returns.
+    /// Price one kernel launch, run `body` functionally, then commit the
+    /// launch to the ledger. Returns whatever the body returns.
     pub fn launch<R>(&self, kernel: &Kernel, body: impl FnOnce() -> R) -> R {
         let (r, _) = self.launch_timed(kernel, body);
         r
@@ -304,40 +291,30 @@ impl Session {
 
     /// Start recording a launch graph. Record methods on the builder
     /// capture kernels and functional bodies; [`crate::LaunchGraph::replay`]
-    /// then prices the whole sequence in one pass and commits it under a
-    /// single ledger lock per replay.
+    /// then prices the whole sequence under one cache lock and commits
+    /// it under one lock set per replay.
     pub fn record(&self) -> crate::graph::GraphBuilder<'_> {
         crate::graph::GraphBuilder::new()
     }
 
     /// Like [`Session::launch`], also returning the simulated timing.
-    /// When [`telemetry`] is enabled the launch records a `LaunchSpan`
-    /// carrying the kernel name, iteration count, effective bytes and the
-    /// simulated seconds, so traces can report achieved GB/s per kernel.
+    /// The stages run price → execute → commit → observe, as in a graph
+    /// replay. The launch span's flight open is written before the body
+    /// runs; that open, not the ledger commit after the body, is what
+    /// crash attribution reads.
     pub fn launch_timed<R>(&self, kernel: &Kernel, body: impl FnOnce() -> R) -> (R, KernelTime) {
-        let span = LaunchSpan::start();
-        // record → price → commit → execute (the ledger entry lands
-        // before the body runs, as it always has).
-        let key = fingerprint(kernel);
-        let priced = self.cache.lock().price(&self.price_context(), kernel, key);
-        self.commit_one(&priced);
-        // Flight events bracket the body so a crash mid-kernel leaves
-        // the launch open on disk — that open is the post-mortem
-        // attribution. Observes only; never feeds back into the ledger.
-        let flight = telemetry::flight::recording();
-        if flight {
-            telemetry::flight::span_open(telemetry::SpanKind::Launch, &priced.name);
+        let priced = self
+            .cache
+            .lock()
+            .price(&self.price_context(), kernel, fingerprint(kernel));
+        let r = execute(&priced, body);
+        let observed = self.commit_locks().commit(CommitOp::Launch {
+            priced: &priced,
+            meta: &LaunchMeta::opaque(),
+        });
+        if let Some((obs, record)) = observed {
+            obs(&record);
         }
-        let r = body();
-        if flight {
-            telemetry::flight::span_close(telemetry::SpanKind::Launch, &priced.name);
-        }
-        span.finish(
-            Arc::clone(&priced.name),
-            kernel.footprint.items,
-            kernel.footprint.effective_bytes,
-            priced.time.total,
-        );
         (r, priced.time)
     }
 
@@ -357,20 +334,17 @@ impl Session {
         self.cache.lock()
     }
 
-    /// Lock the ledger (the graph replay path commits a whole graph
-    /// under one acquisition).
-    pub(crate) fn ledger(&self) -> MutexGuard<'_, Ledger> {
-        self.ledger.lock()
-    }
-
-    /// Commit one priced launch and fire the observer after unlock.
-    pub(crate) fn commit_one(&self, priced: &Priced) {
-        let mut led = self.ledger.lock();
-        let record = led.append(priced);
-        let observer = led.observer.clone();
-        drop(led);
-        if let Some(obs) = observer {
-            obs(&record);
+    /// Take the commit stage's locks in their order: ledger → cache →
+    /// residency.
+    pub(crate) fn commit_locks(&self) -> CommitLocks<'_> {
+        let led = self.ledger.lock();
+        let cache = self.cache.lock();
+        let res = self.residency.lock();
+        CommitLocks {
+            session: self,
+            led,
+            cache,
+            res,
         }
     }
 
@@ -379,33 +353,28 @@ impl Session {
     /// interconnect model; see [`Session::upload`]/[`Session::download`]
     /// for residency-aware staging.
     pub fn transfer(&self, bytes: f64) {
-        self.transfer_with(bytes, &[], TransferDir::H2D);
+        self.upload(bytes, &[]);
     }
 
     /// Stage `bytes` of the given dats host→device. Elided (free) when
     /// every dat already has a valid device copy.
     pub fn upload(&self, bytes: f64, dats: &[u32]) {
-        self.transfer_with(bytes, dats, TransferDir::H2D);
+        self.commit_locks().commit(CommitOp::Transfer {
+            bytes,
+            dats,
+            dir: TransferDir::H2D,
+        });
     }
 
     /// Read `bytes` of the given dats back device→host. Elided when
     /// every dat already has a valid host copy (nothing wrote them on
     /// the device since the last transfer).
     pub fn download(&self, bytes: f64, dats: &[u32]) {
-        self.transfer_with(bytes, dats, TransferDir::D2H);
-    }
-
-    /// The shared eager transfer path (also used by graph replay's
-    /// eager fallback, so both paths price and elide identically).
-    pub(crate) fn transfer_with(&self, bytes: f64, dats: &[u32], dir: TransferDir) {
-        let t = {
-            let mut cache = self.cache.lock();
-            let mut res = self.residency.lock();
-            self.comm_transfer_time(bytes, dats, dir, &mut cache, &mut res)
-        };
-        if let Some(t) = t {
-            self.ledger.lock().charge_comm(t);
-        }
+        self.commit_locks().commit(CommitOp::Transfer {
+            bytes,
+            dats,
+            dir: TransferDir::D2H,
+        });
     }
 
     /// Price one transfer against caller-held price/residency locks.
@@ -441,13 +410,8 @@ impl Session {
     /// with a nonzero halo pays the on-device pack/copy (free only
     /// under [`SessionConfig::eager_transfers`]).
     pub fn exchange(&self, bytes: f64, messages: u64) {
-        let t = {
-            let mut cache = self.cache.lock();
-            self.comm_exchange_time(bytes, messages, &mut cache)
-        };
-        if let Some(t) = t {
-            self.ledger.lock().charge_comm(t);
-        }
+        self.commit_locks()
+            .commit(CommitOp::Exchange { bytes, messages });
     }
 
     /// Price one exchange against a caller-held price-cache lock.
@@ -469,23 +433,6 @@ impl Session {
             bytes,
             messages,
         )
-    }
-
-    /// Apply a replayed launch's declared writes to the residency map
-    /// (device writes invalidate the host copy). Called by both graph
-    /// replay paths in recorded order; a no-op under
-    /// [`SessionConfig::eager_transfers`].
-    pub(crate) fn note_kernel_residency(&self, meta: &LaunchMeta) {
-        if !self.cfg.transfer_pricing {
-            return;
-        }
-        self.residency.lock().apply_launch(meta);
-    }
-
-    /// Lock the residency tracker (the batched commit path holds it for
-    /// a whole graph). Lock order: ledger → cache → residency.
-    pub(crate) fn residency_tracker(&self) -> MutexGuard<'_, ResidencyTracker> {
-        self.residency.lock()
     }
 
     /// Real/elided transfer counts so far (elision requires transfer

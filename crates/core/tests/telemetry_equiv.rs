@@ -188,3 +188,44 @@ fn flight_recorder_leaves_ledgers_bit_identical() {
     assert!(rec.open_spans().is_empty());
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn a_launch_is_open_in_the_flight_recording_while_its_body_runs() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // Crash attribution reads the flight `Launch` open, so both entry
+    // points must write it before the body runs. Stopping the recording
+    // inside the body stands in for the crash: whatever is open on disk
+    // at that moment is what `blackbox` would blame.
+    let s =
+        Session::create(SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app("equiv"))
+            .unwrap();
+    let eager = Kernel::streaming("eager_kernel", 1 << 10, 8.0 * 1024.0, 0.0);
+    let replayed = Kernel::streaming("replayed_kernel", 1 << 10, 8.0 * 1024.0, 0.0);
+    let mut g = s.record();
+    g.launch(&replayed, |_| {
+        telemetry::flight::stop();
+    });
+    let g = g.finish();
+    let runs: [(&str, &dyn Fn()); 2] = [
+        ("eager_kernel", &|| {
+            s.launch(&eager, || {
+                telemetry::flight::stop();
+            })
+        }),
+        ("replayed_kernel", &|| g.replay(&s)),
+    ];
+    for (kernel, run) in runs {
+        let path =
+            std::env::temp_dir().join(format!("flight-attrib-{kernel}-{}.bin", std::process::id()));
+        telemetry::flight::start(&path, 0, "equiv").unwrap();
+        run();
+        let rec = telemetry::FlightRecording::read(&path).unwrap();
+        let open = rec.open_spans();
+        assert!(
+            open.iter()
+                .any(|&(kind, name, _)| kind == telemetry::SpanKind::Launch && name == kernel),
+            "{kernel} not open when its body ran: {open:?}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -6,7 +6,7 @@
 //! bandwidth fractions, so the execution engine records where its time
 //! goes as a first-class artifact instead of a black box.
 //!
-//! Three pieces:
+//! The pieces:
 //!
 //! * **Spans** ([`SpanTimer`], [`Event`]) — nanosecond wall-clock spans
 //!   recorded into per-thread ring buffers ([`ring`]). A span is one
@@ -16,7 +16,10 @@
 //!   footprint bytes. [`flush`] drains every thread's ring into one
 //!   monotonically-ordered event list (ordered by a global finish
 //!   sequence, so cross-thread ordering is exact, not approximate).
-//! * **Counters** ([`counters`]) — process-wide relaxed atomics:
+//! * **Span guard** ([`span`]) — the one instrumentation call a site
+//!   makes: it writes the ring span and, while a flight recording runs,
+//!   the flight open/close around it.
+//! * **Counters** ([`counters`](mod@counters)) — process-wide relaxed atomics:
 //!   launches, pricing-cache hits/misses, pool regions, steals,
 //!   parks/wakes, effective bytes moved, spans dropped on ring wrap.
 //! * **Exporters** ([`export`]) — Chrome `trace_event` JSON (loadable in
@@ -125,6 +128,75 @@ impl TelemetryConfig {
     pub fn install(self) {
         ring::set_default_capacity(self.ring_capacity);
         ENABLED.store(self.enabled, Ordering::Relaxed);
+    }
+}
+
+/// An open span: one instrumentation call covering the ring span and
+/// the flight recording. Dropping the guard closes it, so early returns
+/// and panics close it too.
+#[must_use = "the span closes when the guard is dropped"]
+pub struct Span(Option<OpenSpan>);
+
+struct OpenSpan {
+    kind: SpanKind,
+    name: Name,
+    timer: Option<SpanTimer>,
+    items: u64,
+    bytes: f64,
+    sim_secs: f64,
+}
+
+/// Open a span of `kind` named `name`. While a flight recording runs,
+/// the open is written to it now — before the spanned work, so a crash
+/// inside that work leaves the span open on disk. When telemetry is
+/// enabled, the span's wall time goes to the calling thread's ring on
+/// close; a [`SpanKind::Launch`] span also counts one launch and its
+/// bytes. With both off this is two relaxed loads and no allocation.
+pub fn span<N: Into<Name>>(kind: SpanKind, name: N) -> Span {
+    let flight = flight::recording();
+    if !flight && !enabled() {
+        return Span(None);
+    }
+    let name = name.into();
+    if flight {
+        flight::span_open(kind, name.as_str());
+    }
+    Span(Some(OpenSpan {
+        kind,
+        name,
+        timer: SpanTimer::start(),
+        items: 0,
+        bytes: 0.0,
+        sim_secs: 0.0,
+    }))
+}
+
+impl Span {
+    /// Attach the item count, effective bytes and simulated seconds the
+    /// ring event carries.
+    pub fn with(mut self, items: u64, bytes: f64, sim_secs: f64) -> Span {
+        if let Some(open) = &mut self.0 {
+            open.items = items;
+            open.bytes = bytes;
+            open.sim_secs = sim_secs;
+        }
+        self
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        let Some(open) = self.0.take() else {
+            return;
+        };
+        flight::span_close(open.kind, open.name.as_str());
+        if let Some(t) = open.timer {
+            if open.kind == SpanKind::Launch {
+                Counters::add(&counters().launches, 1);
+                Counters::add(&counters().bytes_moved, open.bytes as u64);
+            }
+            t.finish_timed(open.kind, open.name, open.items, open.bytes, open.sim_secs);
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Per-thread ring-buffer trace recorders.
 //!
-//! Every thread that records a span owns one [`Ring`]: a bounded
+//! Every thread that records a span owns one `Ring`: a bounded
 //! `VecDeque` of [`Event`]s behind its own mutex. Recording locks only
 //! the recorder's *own* ring — uncontended in the steady state, since
 //! the only other party that ever touches it is [`flush`] — so the
@@ -61,8 +61,8 @@ pub enum SpanKind {
     /// One named application phase (e.g. a CloverLeaf `advec_cell`
     /// sweep): a group of launches under one algorithmic step.
     Phase,
-    /// One launch-graph replay (a batch of launches priced in one pass
-    /// and committed under a single ledger lock).
+    /// One launch-graph replay (a batch of launches priced under one
+    /// cache lock and committed under one lock set).
     Replay,
     /// One study unit executing on a worker (the outermost span a
     /// worker's flight recording opens — the crash-attribution anchor).
@@ -111,6 +111,12 @@ impl From<&'static str> for Name {
 impl From<Arc<str>> for Name {
     fn from(s: Arc<str>) -> Name {
         Name::Shared(s)
+    }
+}
+
+impl From<&Arc<str>> for Name {
+    fn from(s: &Arc<str>) -> Name {
+        Name::Shared(Arc::clone(s))
     }
 }
 

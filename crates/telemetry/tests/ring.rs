@@ -132,10 +132,65 @@ fn disabled_telemetry_records_nothing() {
     if let Some(t) = SpanTimer::start() {
         t.finish(SpanKind::Launch, Name::Static("never"), 0, 0.0);
     }
+    drop(telemetry::span(SpanKind::Launch, "never").with(1, 8.0, 0.0));
     let seen = flush()
         .into_iter()
         .filter(|e| e.name.as_str() == "never")
         .count();
     assert_eq!(seen, 0);
-    assert_eq!(counters().snapshot().spans_dropped, before.spans_dropped);
+    let after = counters().snapshot();
+    assert_eq!(after.spans_dropped, before.spans_dropped);
+    assert_eq!(after.launches, before.launches);
+}
+
+#[test]
+fn span_guard_writes_the_ring_the_counters_and_the_flight_recording() {
+    let _g = serial();
+    TelemetryConfig::enabled().install();
+    let path = std::env::temp_dir().join(format!("ring-guard-{}.bin", std::process::id()));
+    telemetry::flight::start(&path, 0, "guard").unwrap();
+    let before = counters().snapshot();
+    {
+        let _phase = telemetry::span(SpanKind::Phase, "guard_phase");
+        let _launch = telemetry::span(SpanKind::Launch, "guard_launch").with(3, 24.0, 1e-6);
+    }
+    let delta = counters().snapshot().since(&before);
+    telemetry::flight::stop();
+    let events: Vec<_> = flush()
+        .into_iter()
+        .filter(|e| e.name.as_str().starts_with("guard_"))
+        .collect();
+    TelemetryConfig::disabled().install();
+
+    // Ring: inner span closes first and carries its payload.
+    assert_eq!(events.len(), 2);
+    assert_eq!(events[0].kind, SpanKind::Launch);
+    assert_eq!(
+        (events[0].items, events[0].bytes, events[0].sim_secs),
+        (3, 24.0, 1e-6)
+    );
+    assert_eq!(events[1].kind, SpanKind::Phase);
+    // Counters: one launch and its bytes, nothing for the phase.
+    assert_eq!((delta.launches, delta.bytes_moved), (1, 24));
+    // Flight: both spans opened and closed, in nesting order.
+    let rec = telemetry::FlightRecording::read(&path).unwrap();
+    let names: Vec<_> = rec
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            telemetry::FlightEvent::SpanOpen { name, .. } => Some(format!("+{name}")),
+            telemetry::FlightEvent::SpanClose { name, .. } => Some(format!("-{name}")),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "+guard_phase",
+            "+guard_launch",
+            "-guard_launch",
+            "-guard_phase"
+        ]
+    );
+    std::fs::remove_file(&path).ok();
 }
