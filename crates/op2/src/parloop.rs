@@ -1,15 +1,27 @@
 //! OP2 parallel loops: direct loops over a set, and indirect loops over
 //! edges with the three race-resolution schemes.
+//!
+//! Each loop type has one launch body that the eager (`run*`) and the
+//! recorded (`record*`) entry points share. [`VertexLoop`] builds it
+//! once per loop: the shadow bracket, the pool call over element chunks
+//! and, for a reduction, the pool's deterministic tree reduction under
+//! one `Reduce` span guard, with the result delivered to a sink (a local
+//! cell on the eager path). [`EdgeLoop`] has one body per colour pass:
+//! it opens the shadow bracket on the first pass, starts a new phase on
+//! each later one and closes it on the last, and runs the scheme's edge
+//! ordering. `run` launches the passes eagerly; `record` records one
+//! node per pass.
 
 use crate::color::{GlobalColoring, HierColoring};
 use crate::mesh::{Mesh, MeshStats};
-use parkit::{global_pool, tree_combine, DisjointSlices};
+use parkit::global_pool;
+use std::cell::Cell;
 use std::sync::Arc;
 use sycl_sim::{
     AccessProfile, AtomicKind, AtomicProfile, GraphBuilder, IndirectProfile, Kernel,
     KernelFootprint, KernelTraits, LaunchMeta, Precision, Scheme, Session,
 };
-use telemetry::shadow;
+use telemetry::{shadow, SpanKind};
 
 /// Scheme label carried in shadow traces (telemetry sits below
 /// `sycl-sim` in the crate DAG, so it gets a string, not the enum).
@@ -18,6 +30,30 @@ fn scheme_label(s: Scheme) -> &'static str {
         Scheme::Atomics => "atomics",
         Scheme::GlobalColor => "global",
         Scheme::HierColor => "hier",
+    }
+}
+
+/// Open the shadow trace of an unstructured loop (no per-dat
+/// arguments) and note the defects its builder saturated over.
+fn begin_unstructured_loop(
+    name: &str,
+    flops_pp: f64,
+    transc_pp: f64,
+    scheme: Option<&'static str>,
+    defects: &[String],
+) {
+    shadow::begin_loop(shadow::LoopDecl {
+        kernel: name.to_owned(),
+        structured: false,
+        lo: [0; 3],
+        hi: [0; 3],
+        args: Vec::new(),
+        flops_pp,
+        transc_pp,
+        scheme,
+    });
+    for d in defects {
+        shadow::note(shadow::NoteKind::DeclDefect, d.clone());
     }
 }
 
@@ -164,21 +200,6 @@ impl EdgeLoop {
         }
     }
 
-    /// Number of sequential colour passes (launches) the scheme needs.
-    fn passes(&self, mesh: Option<&ColoredMesh>) -> usize {
-        match self.scheme {
-            Scheme::Atomics => 1,
-            Scheme::GlobalColor => mesh
-                .and_then(|m| m.global.as_ref())
-                .map(|g| g.n_colors())
-                .unwrap_or(EST_GLOBAL_COLORS),
-            Scheme::HierColor => mesh
-                .and_then(|m| m.hier.as_ref())
-                .map(|h| h.n_colors())
-                .unwrap_or(EST_BLOCK_COLORS),
-        }
-    }
-
     /// Build the kernel description for one colour pass covering a
     /// `fraction` of the edges.
     fn pass_kernel(&self, fraction: f64) -> Kernel {
@@ -218,105 +239,117 @@ impl EdgeLoop {
             .with_nd_shape([self.block_size, 1, 1])
     }
 
-    /// Price the loop on `session` and execute `body(edge)` functionally
-    /// under the scheme's ordering guarantees.
-    ///
-    /// With `mesh = None`, the loop is priced analytically (colour counts
-    /// estimated) and the body is not run — the dry-run path used for
-    /// paper-sized problems.
-    pub fn run(self, session: &Session, mesh: Option<&ColoredMesh>, body: impl Fn(usize) + Sync) {
-        let passes = self.passes(mesh);
-        let fraction = 1.0 / passes as f64;
-        let kernel = self.pass_kernel(fraction);
+    /// The number of sequential colour passes (launches) the scheme
+    /// needs and the kernel of one pass, recording the scheme's
+    /// bytes-per-wave metric.
+    fn plan(&self, mesh: Option<&ColoredMesh>) -> (usize, Kernel) {
+        let passes = match self.scheme {
+            Scheme::Atomics => 1,
+            Scheme::GlobalColor => mesh
+                .and_then(|m| m.global.as_ref())
+                .map(|g| g.n_colors())
+                .unwrap_or(EST_GLOBAL_COLORS),
+            Scheme::HierColor => mesh
+                .and_then(|m| m.hier.as_ref())
+                .map(|h| h.n_colors())
+                .unwrap_or(EST_BLOCK_COLORS),
+        };
         metrics::registry().record_labelled(
             "op2.bytes_per_wave",
             scheme_label(self.scheme),
             self.bytes_per_wave(64.0),
         );
-        let execute = session.executes() && mesh.is_some();
-        let shadowing = session.shadowed() && mesh.is_some();
-        if shadowing {
-            self.begin_shadow_loop(mesh.unwrap());
-        }
+        (passes, self.pass_kernel(1.0 / passes as f64))
+    }
 
+    /// The launch body of colour pass `pass` of `passes`, shared by
+    /// [`EdgeLoop::run`] and [`EdgeLoop::record`]: it runs `body` over
+    /// the pass's edges under the scheme's ordering guarantees. The
+    /// shadow bracket opens on the first pass, starts a new phase on each
+    /// later one (colour groups launch back-to-back: overlap *across*
+    /// them is the point of the scheme) and closes on the last. With
+    /// `mesh = None`, or on a session that does not execute, the pass is
+    /// priced only.
+    fn run_pass(
+        &self,
+        session: &Session,
+        pass: usize,
+        passes: usize,
+        mesh: Option<&ColoredMesh>,
+        body: &(impl Fn(usize) + Sync),
+    ) {
+        let Some(colored) = mesh.filter(|_| session.executes()) else {
+            return;
+        };
+        let shadowing = session.shadowed();
+        if shadowing {
+            if pass == 0 {
+                self.begin_shadow_loop(colored);
+            } else {
+                shadow::next_phase();
+            }
+        }
         match self.scheme {
             Scheme::Atomics => {
-                session.launch(&kernel, || {
-                    if execute {
-                        let n = mesh.unwrap().mesh.n_edges();
-                        global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                            shadow::unit(shadowing, || {
-                                for e in lo..hi {
-                                    body(e);
-                                }
-                            });
-                        });
-                    }
+                global_pool().for_range(colored.mesh.n_edges(), EXEC_CHUNK, |lo, hi| {
+                    shadow::unit(shadowing, || {
+                        for e in lo..hi {
+                            body(e);
+                        }
+                    });
                 });
             }
             Scheme::GlobalColor => {
-                if execute {
-                    let colored = mesh.unwrap();
-                    let coloring = colored
-                        .global
-                        .as_ref()
-                        .expect("ColoredMesh::prepare builds the global colouring");
-                    for (pass, group) in coloring.by_color.iter().enumerate() {
-                        if shadowing && pass > 0 {
-                            // Colour groups launch back-to-back: overlap
-                            // *across* them is the point of the scheme.
-                            shadow::next_phase();
+                let coloring = colored
+                    .global
+                    .as_ref()
+                    .expect("ColoredMesh::prepare builds the global colouring");
+                let group = &coloring.by_color[pass];
+                global_pool().for_range(group.len(), EXEC_CHUNK, |lo, hi| {
+                    shadow::unit(shadowing, || {
+                        for &e in &group[lo..hi] {
+                            body(e as usize);
                         }
-                        session.launch(&kernel, || {
-                            global_pool().for_range(group.len(), EXEC_CHUNK, |lo, hi| {
-                                shadow::unit(shadowing, || {
-                                    for &e in &group[lo..hi] {
-                                        body(e as usize);
-                                    }
-                                });
-                            });
-                        });
-                    }
-                } else {
-                    for _ in 0..passes {
-                        session.launch(&kernel, || ());
-                    }
-                }
+                    });
+                });
             }
             Scheme::HierColor => {
-                if execute {
-                    let colored = mesh.unwrap();
-                    let hier = colored
-                        .hier
-                        .as_ref()
-                        .expect("ColoredMesh::prepare builds the hierarchical colouring");
-                    let n_edges = colored.mesh.n_edges();
-                    for (pass, group) in hier.blocks_by_color.iter().enumerate() {
-                        if shadowing && pass > 0 {
-                            shadow::next_phase();
+                let hier = colored
+                    .hier
+                    .as_ref()
+                    .expect("ColoredMesh::prepare builds the hierarchical colouring");
+                let n_edges = colored.mesh.n_edges();
+                let group = &hier.blocks_by_color[pass];
+                global_pool().run_region(group.len(), |_lane, gi| {
+                    let (lo, hi) = hier.block_range(group[gi] as usize, n_edges);
+                    // Blocks run serially inside — the intra-block
+                    // colouring orders the edges.
+                    shadow::unit(shadowing, || {
+                        for e in lo..hi {
+                            body(e);
                         }
-                        session.launch(&kernel, || {
-                            global_pool().run_region(group.len(), |_lane, gi| {
-                                let (lo, hi) = hier.block_range(group[gi] as usize, n_edges);
-                                // Blocks run serially inside — the
-                                // intra-block colouring orders the edges.
-                                shadow::unit(shadowing, || {
-                                    for e in lo..hi {
-                                        body(e);
-                                    }
-                                });
-                            });
-                        });
-                    }
-                } else {
-                    for _ in 0..passes {
-                        session.launch(&kernel, || ());
-                    }
-                }
+                    });
+                });
             }
         }
-        if shadowing {
+        if shadowing && pass + 1 == passes {
             shadow::end_loop();
+        }
+    }
+
+    /// Price the loop on `session` and execute `body(edge)` functionally
+    /// under the scheme's ordering guarantees, one launch per colour
+    /// pass.
+    ///
+    /// With `mesh = None`, the loop is priced analytically (colour counts
+    /// estimated) and the body is not run — the dry-run path used for
+    /// paper-sized problems.
+    pub fn run(self, session: &Session, mesh: Option<&ColoredMesh>, body: impl Fn(usize) + Sync) {
+        let (passes, kernel) = self.plan(mesh);
+        for pass in 0..passes {
+            session.launch(&kernel, || {
+                self.run_pass(session, pass, passes, mesh, &body)
+            });
         }
     }
 
@@ -324,19 +357,14 @@ impl EdgeLoop {
     /// defects, and an up-front proof of the colouring plan (the plan
     /// validator part of `sycl-verify`).
     fn begin_shadow_loop(&self, colored: &ColoredMesh) {
-        shadow::begin_loop(shadow::LoopDecl {
-            kernel: self.name.clone(),
-            structured: false,
-            lo: [0; 3],
-            hi: [0; 3],
-            args: Vec::new(),
-            flops_pp: self.flops_pp,
-            transc_pp: self.transc_pp,
-            scheme: Some(scheme_label(self.scheme)),
-        });
-        for d in &self.defects {
-            shadow::note(shadow::NoteKind::DeclDefect, d.clone());
-        }
+        let scheme = Some(scheme_label(self.scheme));
+        begin_unstructured_loop(
+            &self.name,
+            self.flops_pp,
+            self.transc_pp,
+            scheme,
+            &self.defects,
+        );
         let map = &colored.mesh.edges;
         if let Some(g) = &colored.global {
             if let Some((a, b, v)) = g.first_conflict(map) {
@@ -373,132 +401,33 @@ impl EdgeLoop {
     /// Record this loop into a launch graph instead of launching it; the
     /// replay mirror of [`EdgeLoop::run`].
     ///
-    /// Colour schemes record one launch node per colour pass (the same
-    /// launch sequence the eager path issues), so the replayed ledger is
+    /// Each colour pass records one launch node running the same pass
+    /// body the eager path launches, so the replayed ledger is
     /// bit-identical to an eager run. The colour structure is captured at
     /// record time — re-record if the mesh or its colouring changes.
-    /// Shadow bracketing is evaluated at replay time inside the recorded
-    /// bodies, against the replaying session, in the same order as the
-    /// eager path.
+    /// Shadow bracketing is evaluated at replay time inside the bodies,
+    /// against the replaying session.
     pub fn record<'a>(
         self,
         g: &mut GraphBuilder<'a>,
         mesh: Option<&'a ColoredMesh>,
         body: impl Fn(usize) + Send + Sync + 'a,
     ) {
-        let passes = self.passes(mesh);
-        let fraction = 1.0 / passes as f64;
-        let kernel = self.pass_kernel(fraction);
-        metrics::registry().record_labelled(
-            "op2.bytes_per_wave",
-            scheme_label(self.scheme),
-            self.bytes_per_wave(64.0),
-        );
-        let scheme = self.scheme;
+        let (passes, kernel) = self.plan(mesh);
+        // Indirect loops have anonymous args: the meta is opaque (no
+        // dat-level dataflow); an atomics launch also carries the scheme
+        // label for the per-platform legality lint.
+        let meta = match self.scheme {
+            Scheme::Atomics => LaunchMeta::opaque().with_scheme(scheme_label(self.scheme)),
+            _ => LaunchMeta::opaque(),
+        };
         let lp = Arc::new(self);
         let body = Arc::new(body);
-
-        match scheme {
-            Scheme::Atomics => {
-                let lp = Arc::clone(&lp);
-                let body = Arc::clone(&body);
-                // Indirect loops have anonymous args: the meta is opaque
-                // (no dat-level dataflow), but carries the scheme label
-                // for the per-platform legality lint.
-                let meta = LaunchMeta::opaque().with_scheme(scheme_label(scheme));
-                g.launch_with_meta(&kernel, meta, move |session| {
-                    let execute = session.executes() && mesh.is_some();
-                    let shadowing = session.shadowed() && mesh.is_some();
-                    if shadowing {
-                        lp.begin_shadow_loop(mesh.unwrap());
-                    }
-                    if execute {
-                        let n = mesh.unwrap().mesh.n_edges();
-                        global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                            shadow::unit(shadowing, || {
-                                for e in lo..hi {
-                                    body(e);
-                                }
-                            });
-                        });
-                    }
-                    if shadowing {
-                        shadow::end_loop();
-                    }
-                });
-            }
-            Scheme::GlobalColor => {
-                for pass in 0..passes {
-                    let lp = Arc::clone(&lp);
-                    let body = Arc::clone(&body);
-                    g.launch(&kernel, move |session| {
-                        let execute = session.executes() && mesh.is_some();
-                        let shadowing = session.shadowed() && mesh.is_some();
-                        if shadowing {
-                            if pass == 0 {
-                                lp.begin_shadow_loop(mesh.unwrap());
-                            } else {
-                                shadow::next_phase();
-                            }
-                        }
-                        if execute {
-                            let coloring = mesh
-                                .unwrap()
-                                .global
-                                .as_ref()
-                                .expect("ColoredMesh::prepare builds the global colouring");
-                            let group = &coloring.by_color[pass];
-                            global_pool().for_range(group.len(), EXEC_CHUNK, |lo, hi| {
-                                shadow::unit(shadowing, || {
-                                    for &e in &group[lo..hi] {
-                                        body(e as usize);
-                                    }
-                                });
-                            });
-                        }
-                        if shadowing && pass == passes - 1 {
-                            shadow::end_loop();
-                        }
-                    });
-                }
-            }
-            Scheme::HierColor => {
-                for pass in 0..passes {
-                    let lp = Arc::clone(&lp);
-                    let body = Arc::clone(&body);
-                    g.launch(&kernel, move |session| {
-                        let execute = session.executes() && mesh.is_some();
-                        let shadowing = session.shadowed() && mesh.is_some();
-                        if shadowing {
-                            if pass == 0 {
-                                lp.begin_shadow_loop(mesh.unwrap());
-                            } else {
-                                shadow::next_phase();
-                            }
-                        }
-                        if execute {
-                            let colored = mesh.unwrap();
-                            let hier = colored
-                                .hier
-                                .as_ref()
-                                .expect("ColoredMesh::prepare builds the hierarchical colouring");
-                            let n_edges = colored.mesh.n_edges();
-                            let group = &hier.blocks_by_color[pass];
-                            global_pool().run_region(group.len(), |_lane, gi| {
-                                let (lo, hi) = hier.block_range(group[gi] as usize, n_edges);
-                                shadow::unit(shadowing, || {
-                                    for e in lo..hi {
-                                        body(e);
-                                    }
-                                });
-                            });
-                        }
-                        if shadowing && pass == passes - 1 {
-                            shadow::end_loop();
-                        }
-                    });
-                }
-            }
+        for pass in 0..passes {
+            let (lp, body) = (Arc::clone(&lp), Arc::clone(&body));
+            g.launch_with_meta(&kernel, meta.clone(), move |session| {
+                lp.run_pass(session, pass, passes, mesh, &*body)
+            });
         }
     }
 }
@@ -614,41 +543,74 @@ impl VertexLoop {
         })
     }
 
-    /// Open the shadow trace for a direct loop.
-    fn begin_shadow_loop(&self) {
-        shadow::begin_loop(shadow::LoopDecl {
-            kernel: self.name.clone(),
-            structured: false,
-            lo: [0; 3],
-            hi: [0; 3],
-            args: Vec::new(),
-            flops_pp: self.flops_pp,
-            transc_pp: self.transc_pp,
-            scheme: None,
-        });
-        for d in &self.defects {
-            shadow::note(shadow::NoteKind::DeclDefect, d.clone());
-        }
+    /// The kernel and the one launch body of this loop, shared by every
+    /// eager and recorded entry point.
+    ///
+    /// The body evaluates the shadow bracket against the session it
+    /// runs on, then runs `chunk_body` over element chunks on the pool
+    /// when the session executes. With a `reduce`, the chunk partials
+    /// combine in the pool's fixed binary tree under one `Reduce` span,
+    /// and the result (the identity on a session that does not execute)
+    /// goes to the sink.
+    fn launch_body<'a, A, C, S>(
+        self,
+        chunk_body: impl Fn(usize, usize) -> A + Sync + 'a,
+        reduce: Option<Reduce<A, C, S>>,
+    ) -> (Kernel, impl Fn(&Session) + 'a)
+    where
+        A: Send + Clone + 'a,
+        C: Fn(A, A) -> A + Sync + 'a,
+        S: Fn(A) + 'a,
+    {
+        let kernel = self.kernel(usize::from(reduce.is_some()));
+        let bytes = kernel.footprint.effective_bytes;
+        let n = self.set_size;
+        let reduce = reduce.map(|r| (r, Arc::<str>::from(format!("{}.reduce", self.name))));
+        let body = move |session: &Session| {
+            let shadowing = session.shadowed();
+            if shadowing {
+                begin_unstructured_loop(
+                    &self.name,
+                    self.flops_pp,
+                    self.transc_pp,
+                    None,
+                    &self.defects,
+                );
+            }
+            let chunk = |lo, hi| shadow::unit(shadowing, || chunk_body(lo, hi));
+            match &reduce {
+                None => {
+                    if session.executes() {
+                        global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
+                            chunk(lo, hi);
+                        });
+                    }
+                }
+                Some((Reduce(identity, combine, sink), label)) => {
+                    let out = if session.executes() {
+                        let chunks = n.div_ceil(EXEC_CHUNK) as u64;
+                        let _span =
+                            telemetry::span(SpanKind::Reduce, label).with(chunks, bytes, 0.0);
+                        global_pool().reduce(n, EXEC_CHUNK, identity.clone(), combine, |c| {
+                            chunk(c.start, c.end)
+                        })
+                    } else {
+                        identity.clone()
+                    };
+                    sink(out);
+                }
+            }
+            if shadowing {
+                shadow::end_loop();
+            }
+        };
+        (kernel, body)
     }
 
     /// Price and run the loop body over element chunks.
     pub fn run(self, session: &Session, body: impl Fn(usize, usize) + Sync) {
-        let n = self.set_size;
-        let kernel = self.kernel(0);
-        let shadowing = session.shadowed();
-        if shadowing {
-            self.begin_shadow_loop();
-        }
-        session.launch(&kernel, || {
-            if session.executes() {
-                global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                    shadow::unit(shadowing, || body(lo, hi));
-                });
-            }
-        });
-        if shadowing {
-            shadow::end_loop();
-        }
+        let (kernel, f) = self.launch_body(body, NO_REDUCE);
+        session.launch(&kernel, || f(session));
     }
 
     /// Price and run with a deterministic tree reduction.
@@ -662,65 +624,18 @@ impl VertexLoop {
     where
         A: Send + Clone,
     {
-        let n = self.set_size;
-        let kernel = self.kernel(1);
-        let bytes = kernel.footprint.effective_bytes;
-        let shadowing = session.shadowed();
-        if shadowing {
-            self.begin_shadow_loop();
-        }
-        let name = self.name;
-        let out = session.launch(&kernel, || {
-            if !session.executes() {
-                return identity.clone();
-            }
-            let span = telemetry::SpanTimer::start();
-            let chunks = n.div_ceil(EXEC_CHUNK);
-            let mut partials: Vec<Option<A>> = (0..chunks).map(|_| None).collect();
-            let slots = DisjointSlices::new(&mut partials);
-            global_pool().run_region(chunks, |_lane, c| {
-                let lo = c * EXEC_CHUNK;
-                let hi = (lo + EXEC_CHUNK).min(n);
-                let partial = shadow::unit(shadowing, || body(lo, hi));
-                // SAFETY: each chunk index visited exactly once.
-                unsafe { slots.write(c, Some(partial)) };
-            });
-            let out = tree_combine(
-                partials.into_iter().map(|p| p.expect("chunk ran")),
-                identity,
-                &combine,
-            );
-            if let Some(t) = span {
-                let label: std::sync::Arc<str> = format!("{name}.reduce").into();
-                t.finish(telemetry::SpanKind::Reduce, label, chunks as u64, bytes);
-            }
-            out
-        });
-        if shadowing {
-            shadow::end_loop();
-        }
-        out
+        let out = Cell::new(None);
+        let sink = |a| out.set(Some(a));
+        let (kernel, f) = self.launch_body(body, Some(Reduce(identity, combine, sink)));
+        session.launch(&kernel, || f(session));
+        out.take().expect("the launch body delivers its reduction")
     }
 
     /// Record this loop into a launch graph; the replay mirror of
     /// [`VertexLoop::run`].
     pub fn record<'a>(self, g: &mut GraphBuilder<'a>, body: impl Fn(usize, usize) + Sync + 'a) {
-        let n = self.set_size;
-        let kernel = self.kernel(0);
-        g.launch(&kernel, move |session| {
-            let shadowing = session.shadowed();
-            if shadowing {
-                self.begin_shadow_loop();
-            }
-            if session.executes() {
-                global_pool().for_range(n, EXEC_CHUNK, |lo, hi| {
-                    shadow::unit(shadowing, || body(lo, hi));
-                });
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
-        });
+        let (kernel, f) = self.launch_body(body, NO_REDUCE);
+        g.launch(&kernel, f);
     }
 
     /// Record a reducing loop into a launch graph; the replay mirror of
@@ -737,45 +652,18 @@ impl VertexLoop {
     ) where
         A: Send + Sync + Clone + 'a,
     {
-        let n = self.set_size;
-        let kernel = self.kernel(1);
-        let bytes = kernel.footprint.effective_bytes;
-        g.launch(&kernel, move |session| {
-            let shadowing = session.shadowed();
-            if shadowing {
-                self.begin_shadow_loop();
-            }
-            if !session.executes() {
-                sink(identity.clone());
-            } else {
-                let span = telemetry::SpanTimer::start();
-                let chunks = n.div_ceil(EXEC_CHUNK);
-                let mut partials: Vec<Option<A>> = (0..chunks).map(|_| None).collect();
-                let slots = DisjointSlices::new(&mut partials);
-                global_pool().run_region(chunks, |_lane, c| {
-                    let lo = c * EXEC_CHUNK;
-                    let hi = (lo + EXEC_CHUNK).min(n);
-                    let partial = shadow::unit(shadowing, || body(lo, hi));
-                    // SAFETY: each chunk index visited exactly once.
-                    unsafe { slots.write(c, Some(partial)) };
-                });
-                let out = tree_combine(
-                    partials.into_iter().map(|p| p.expect("chunk ran")),
-                    identity.clone(),
-                    &combine,
-                );
-                if let Some(t) = span {
-                    let label: std::sync::Arc<str> = format!("{}.reduce", self.name).into();
-                    t.finish(telemetry::SpanKind::Reduce, label, chunks as u64, bytes);
-                }
-                sink(out);
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
-        });
+        let (kernel, f) = self.launch_body(body, Some(Reduce(identity, combine, sink)));
+        g.launch(&kernel, f);
     }
 }
+
+/// A loop's reduction, `(identity, combine, sink)`: chunk partials fold
+/// from the identity with `combine`, and the result goes to the sink.
+struct Reduce<A, C, S>(A, C, S);
+
+/// The reduction slot of a loop that does not reduce.
+const NO_REDUCE: Option<NoReduce> = None;
+type NoReduce = Reduce<(), fn((), ()), fn(())>;
 
 #[cfg(test)]
 mod tests {
@@ -956,55 +844,92 @@ mod tests {
 
     #[test]
     fn recorded_edge_loops_replay_bit_identically_under_every_scheme() {
-        for scheme in [Scheme::Atomics, Scheme::GlobalColor, Scheme::HierColor] {
-            let run_once = |s: &Session, colored: &ColoredMesh, deg: &mut DatU<f64>| {
-                let lp = EdgeLoop::new("degree", colored.mesh.stats(), scheme, Precision::F64)
-                    .vertex_inc(1)
-                    .flops(2.0)
-                    .block_size(64);
-                let acc = deg.accum(lp.uses_atomics());
-                let edges = &colored.mesh.edges;
-                lp.run(s, Some(colored), |e| {
-                    acc.add(edges.at(e, 0), 0, 1.0);
-                    acc.add(edges.at(e, 1), 0, 1.0);
-                });
-            };
+        use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
+        // Vertex loops run over a set of three execution chunks, so the
+        // reduction combines a real tree.
+        const N: usize = 2 * EXEC_CHUNK + 100;
+        let scale = || VertexLoop::new("scale", N, Precision::F64).arg(1).arg(1);
+        let norm = || VertexLoop::new("norm", N, Precision::F64).arg(1).flops(1.0);
+        let add = |a: f64, b: f64| a + b;
+        let fields = |n_v: usize| {
+            let mut q = DatU::<f64>::zeroed("q", N, 1);
+            q.fill_with(|e, _| ((e * 37) % 101) as f64 * 0.013);
+            let deg = DatU::<f64>::zeroed("deg", n_v, 1);
+            (deg, q, DatU::<f64>::zeroed("out", N, 1))
+        };
+        for scheme in [Scheme::Atomics, Scheme::GlobalColor, Scheme::HierColor] {
             let mesh = Mesh::grid(6, 6, 3, Ordering::Natural);
             let n_v = mesh.n_vertices;
             let colored = ColoredMesh::prepare(mesh, scheme, 64);
+            let edge_loop = || {
+                EdgeLoop::new("degree", colored.mesh.stats(), scheme, Precision::F64)
+                    .vertex_inc(1)
+                    .flops(2.0)
+                    .block_size(64)
+            };
+            let edges = &colored.mesh.edges;
 
+            // Each iteration: the edge loop live and dry (`mesh = None`),
+            // then a vertex update and a vertex reduction.
             let eager = session();
-            let mut deg_e = DatU::<f64>::zeroed("deg", n_v, 1);
-            for _ in 0..3 {
-                run_once(&eager, &colored, &mut deg_e);
+            let (mut deg_e, q_e, mut out_e) = fields(n_v);
+            let mut sums_e = Vec::new();
+            {
+                let acc = deg_e.accum(scheme == Scheme::Atomics);
+                let degree = |e: usize| {
+                    acc.add(edges.at(e, 0), 0, 1.0);
+                    acc.add(edges.at(e, 1), 0, 1.0);
+                };
+                let (r, w) = (q_e.reader(), out_e.writer());
+                let update = |lo, hi| (lo..hi).for_each(|e| w.set(e, 0, 1.5 * r.at(e, 0)));
+                let sum = |lo, hi| (lo..hi).map(|e| w.get(e, 0)).sum::<f64>();
+                for _ in 0..3 {
+                    edge_loop().run(&eager, Some(&colored), degree);
+                    edge_loop().run(&eager, None, degree);
+                    scale().run(&eager, update);
+                    sums_e.push(norm().run_reduce(&eager, 0.0, add, sum).to_bits());
+                }
             }
 
             let replayed = session();
-            let mut deg_r = DatU::<f64>::zeroed("deg", n_v, 1);
-            let lp = EdgeLoop::new("degree", colored.mesh.stats(), scheme, Precision::F64)
-                .vertex_inc(1)
-                .flops(2.0)
-                .block_size(64);
-            let acc = deg_r.accum(lp.uses_atomics());
-            let edges = &colored.mesh.edges;
-            let mut g = replayed.record();
-            lp.record(&mut g, Some(&colored), |e| {
-                acc.add(edges.at(e, 0), 0, 1.0);
-                acc.add(edges.at(e, 1), 0, 1.0);
-            });
-            let graph = g.finish();
-            for _ in 0..3 {
-                graph.replay(&replayed);
+            let (mut deg_r, q_r, mut out_r) = fields(n_v);
+            let mut sums_r = Vec::new();
+            {
+                let acc = deg_r.accum(scheme == Scheme::Atomics);
+                let degree = |e: usize| {
+                    acc.add(edges.at(e, 0), 0, 1.0);
+                    acc.add(edges.at(e, 1), 0, 1.0);
+                };
+                let (r, w) = (q_r.reader(), out_r.writer());
+                let update = |lo, hi| (lo..hi).for_each(|e| w.set(e, 0, 1.5 * r.at(e, 0)));
+                let sum = |lo, hi| (lo..hi).map(|e| w.get(e, 0)).sum::<f64>();
+                let cell = AtomicU64::new(0);
+                let sink = |t: f64| cell.store(t.to_bits(), AtomicOrdering::Relaxed);
+                let mut g = replayed.record();
+                edge_loop().record(&mut g, Some(&colored), degree);
+                edge_loop().record(&mut g, None, degree);
+                scale().record(&mut g, update);
+                norm().record_reduce(&mut g, 0.0, add, sum, sink);
+                let graph = g.finish();
+                for _ in 0..3 {
+                    graph.replay(&replayed);
+                    sums_r.push(cell.load(AtomicOrdering::Relaxed));
+                }
             }
-            drop(graph);
 
             assert_eq!(
                 eager.ledger_digest(),
                 replayed.ledger_digest(),
                 "scheme {scheme:?}: eager and replayed ledgers must be bit-identical"
             );
-            assert_eq!(deg_e.host(), deg_r.host(), "scheme {scheme:?}: results");
+            assert_eq!(deg_e.host(), deg_r.host(), "scheme {scheme:?}: degrees");
+            assert_eq!(
+                out_e.host(),
+                out_r.host(),
+                "scheme {scheme:?}: vertex update"
+            );
+            assert_eq!(sums_e, sums_r, "scheme {scheme:?}: vertex reduction");
         }
     }
 

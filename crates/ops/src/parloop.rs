@@ -4,16 +4,29 @@
 //! kernel footprint with the paper's effective-bytes rule, prices the
 //! launch through the session, and executes the body functionally over
 //! parallel tiles.
+//!
+//! Every entry point runs one launch body, built by one private
+//! function. The body opens and closes the shadow bracket against the
+//! session it runs on, spreads the tiles over the pool, and for a
+//! reduction folds the tile partials under one `Reduce` span guard and
+//! hands the result to a sink. The eager `run*` calls pass that body to
+//! [`Session::launch`]; an eager reduction sinks into a local cell and
+//! returns it. The `record*` calls pass the same body to
+//! [`GraphBuilder::launch_with_meta`]. The row-sliced variants
+//! (`*_rows`, `*_rows_reduce`) are adapters that wrap a row body into a
+//! tile body.
 
 use crate::dat::DatMeta;
 use crate::range::{Range3, Row};
 use crate::stencil::Stencil;
 use parkit::global_pool;
+use std::cell::Cell;
+use std::sync::Arc;
 use sycl_sim::{
     AccessMode, AccessProfile, DatAccess, GraphBuilder, Kernel, KernelFootprint, KernelTraits,
     LaunchMeta, Precision, Session, StencilProfile,
 };
-use telemetry::shadow;
+use telemetry::{shadow, SpanKind};
 
 /// Functional tile shape for `range` (execution only — the *modelled*
 /// work-group shape comes from the toolchain, so this choice never
@@ -122,25 +135,17 @@ impl ParLoop {
     pub fn kernel(&self) -> Kernel {
         let pts = self.range.points() as f64;
         let mut bytes = 0.0;
-        let mut radius = Stencil::point();
-        for (m, s) in &self.reads {
-            bytes += pts * m.elem_bytes;
-            radius = radius.merge(*s);
+        for a in self.accesses() {
+            bytes += match a.mode {
+                AccessMode::ReadWrite => 2.0 * pts * a.elem_bytes,
+                _ => pts * a.elem_bytes,
+            };
         }
-        for m in &self.writes {
-            bytes += pts * m.elem_bytes;
-        }
-        for (m, _) in &self.rws {
-            bytes += 2.0 * pts * m.elem_bytes;
-        }
-        let precision = if self
+        let radius = self
             .reads
             .iter()
-            .map(|(m, _)| m.elem_bytes)
-            .chain(self.writes.iter().map(|m| m.elem_bytes))
-            .chain(self.rws.iter().map(|(m, _)| m.elem_bytes))
-            .any(|b| b >= 8.0)
-        {
+            .fold(Stencil::point(), |r, (_, s)| r.merge(*s));
+        let precision = if self.accesses().any(|a| a.elem_bytes >= 8.0) {
             Precision::F64
         } else {
             Precision::F32
@@ -168,32 +173,46 @@ impl ParLoop {
         k
     }
 
+    /// Every argument in declaration order — reads, writes, then
+    /// read-writes — with its access mode, radius and element size: the
+    /// one walk behind [`ParLoop::loop_decl`] and [`ParLoop::launch_meta`].
+    fn accesses(&self) -> impl Iterator<Item = DatAccess> + '_ {
+        let reads = self
+            .reads
+            .iter()
+            .map(|&(m, s)| (m, AccessMode::Read, s.radius));
+        let writes = self.writes.iter().map(|&m| (m, AccessMode::Write, [0; 3]));
+        let rws = self
+            .rws
+            .iter()
+            .map(|&(m, s)| (m, AccessMode::ReadWrite, s.radius));
+        reads
+            .chain(writes)
+            .chain(rws)
+            .map(|(m, mode, radius)| DatAccess {
+                dat: m.id,
+                mode,
+                radius,
+                elem_bytes: m.elem_bytes,
+            })
+    }
+
     /// The declaration as the shadow-access checker sees it. Unlike the
     /// priced radius, rw stencils *do* count here — the verifier checks
     /// actual reads against what each argument individually declared.
     fn loop_decl(&self) -> shadow::LoopDecl {
-        let mut args = Vec::with_capacity(self.reads.len() + self.writes.len() + self.rws.len());
-        for (m, s) in &self.reads {
-            args.push(shadow::ArgDecl {
-                dat: m.id,
-                access: shadow::Access::Read,
-                radius: s.radius,
-            });
-        }
-        for m in &self.writes {
-            args.push(shadow::ArgDecl {
-                dat: m.id,
-                access: shadow::Access::Write,
-                radius: [0; 3],
-            });
-        }
-        for (m, s) in &self.rws {
-            args.push(shadow::ArgDecl {
-                dat: m.id,
-                access: shadow::Access::ReadWrite,
-                radius: s.radius,
-            });
-        }
+        let args = self
+            .accesses()
+            .map(|a| shadow::ArgDecl {
+                dat: a.dat,
+                access: match a.mode {
+                    AccessMode::Read => shadow::Access::Read,
+                    AccessMode::Write => shadow::Access::Write,
+                    AccessMode::ReadWrite => shadow::Access::ReadWrite,
+                },
+                radius: a.radius,
+            })
+            .collect();
         shadow::LoopDecl {
             kernel: self.name.clone(),
             structured: true,
@@ -207,37 +226,68 @@ impl ParLoop {
     }
 
     /// The declarative access metadata recorded with launch-graph nodes
-    /// for static dataflow analysis (`graphlint`). Mirrors
-    /// [`ParLoop::loop_decl`] with element sizes attached; like the
-    /// shadow declaration it never enters pricing.
+    /// for static dataflow analysis (`graphlint`). Like the shadow
+    /// declaration it never enters pricing.
     fn launch_meta(&self) -> LaunchMeta {
-        let mut accesses =
-            Vec::with_capacity(self.reads.len() + self.writes.len() + self.rws.len());
-        for (m, s) in &self.reads {
-            accesses.push(DatAccess {
-                dat: m.id,
-                mode: AccessMode::Read,
-                radius: s.radius,
-                elem_bytes: m.elem_bytes,
-            });
-        }
-        for m in &self.writes {
-            accesses.push(DatAccess {
-                dat: m.id,
-                mode: AccessMode::Write,
-                radius: [0; 3],
-                elem_bytes: m.elem_bytes,
-            });
-        }
-        for (m, s) in &self.rws {
-            accesses.push(DatAccess {
-                dat: m.id,
-                mode: AccessMode::ReadWrite,
-                radius: s.radius,
-                elem_bytes: m.elem_bytes,
-            });
-        }
-        LaunchMeta::new(accesses, self.range.lo, self.range.hi)
+        LaunchMeta::new(self.accesses().collect(), self.range.lo, self.range.hi)
+    }
+
+    /// The kernel and the one launch body of this loop, shared by every
+    /// eager and recorded entry point.
+    ///
+    /// The body evaluates the shadow bracket against the session it
+    /// runs on, then runs `tile_body` over the loop's tiles on the pool
+    /// when the session executes. With a `reduce`, the tile partials
+    /// combine in the pool's fixed binary tree under one `Reduce` span,
+    /// and the result (the identity on a session that does not execute)
+    /// goes to the sink.
+    fn launch_body<'a, A, C, S>(
+        self,
+        tile_body: impl Fn(Range3) -> A + Sync + 'a,
+        reduce: Option<Reduce<A, C, S>>,
+    ) -> (Kernel, impl Fn(&Session) + 'a)
+    where
+        A: Send + Clone + 'a,
+        C: Fn(A, A) -> A + Sync + 'a,
+        S: Fn(A) + 'a,
+    {
+        let mut kernel = self.kernel();
+        kernel.footprint.reductions = usize::from(reduce.is_some());
+        let bytes = kernel.footprint.effective_bytes;
+        let shape = exec_tile(&self.range);
+        let tiles = self.range.tile_count(shape);
+        let reduce = reduce.map(|r| (r, Arc::<str>::from(format!("{}.reduce", self.name))));
+        let body = move |session: &Session| {
+            let shadowing = session.shadowed();
+            if shadowing {
+                shadow::begin_loop(self.loop_decl());
+            }
+            let range = self.range;
+            let tile = |t| shadow::unit(shadowing, || tile_body(range.tile(shape, t)));
+            match &reduce {
+                None => {
+                    if session.executes() {
+                        global_pool().run_region(tiles, |_lane, t| {
+                            tile(t);
+                        });
+                    }
+                }
+                Some((Reduce(identity, combine, sink), label)) => {
+                    let out = if session.executes() {
+                        let _span =
+                            telemetry::span(SpanKind::Reduce, label).with(tiles as u64, bytes, 0.0);
+                        global_pool().reduce_chunks(tiles, identity.clone(), combine, tile)
+                    } else {
+                        identity.clone()
+                    };
+                    sink(out);
+                }
+            }
+            if shadowing {
+                shadow::end_loop();
+            }
+        };
+        (kernel, body)
     }
 
     /// Price the launch on `session` and run `body` over parallel tiles.
@@ -245,24 +295,8 @@ impl ParLoop {
     /// `body` receives sub-ranges that partition the loop range; it must
     /// write only to its tile's points (the usual OPS contract).
     pub fn run(self, session: &Session, body: impl Fn(Range3) + Sync) {
-        let kernel = self.kernel();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let shadowing = session.shadowed();
-        if shadowing {
-            shadow::begin_loop(self.loop_decl());
-        }
-        let range = self.range;
-        session.launch(&kernel, || {
-            if session.executes() {
-                global_pool().run_region(tiles, |_lane, t| {
-                    shadow::unit(shadowing, || body(range.tile(shape, t)));
-                });
-            }
-        });
-        if shadowing {
-            shadow::end_loop();
-        }
+        let (kernel, f) = self.launch_body(body, NO_REDUCE);
+        session.launch(&kernel, || f(session));
     }
 
     /// The row-sliced fast path: price the launch and run `body` once
@@ -276,28 +310,7 @@ impl ParLoop {
     /// the same decomposition as [`ParLoop::run`], so both paths cover
     /// identical points in identical order.
     pub fn run_rows(self, session: &Session, body: impl Fn(Row) + Sync) {
-        let kernel = self.kernel();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let shadowing = session.shadowed();
-        if shadowing {
-            shadow::begin_loop(self.loop_decl());
-        }
-        let range = self.range;
-        session.launch(&kernel, || {
-            if session.executes() {
-                global_pool().run_region(tiles, |_lane, t| {
-                    shadow::unit(shadowing, || {
-                        for row in range.tile(shape, t).rows() {
-                            body(row);
-                        }
-                    });
-                });
-            }
-        });
-        if shadowing {
-            shadow::end_loop();
-        }
+        self.run(session, each_row(body));
     }
 
     /// Like [`ParLoop::run`] but the loop also produces a reduction:
@@ -315,32 +328,11 @@ impl ParLoop {
     where
         A: Send + Clone,
     {
-        let mut kernel = self.kernel();
-        kernel.footprint.reductions = 1;
-        let bytes = kernel.footprint.effective_bytes;
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let shadowing = session.shadowed();
-        if shadowing {
-            shadow::begin_loop(self.loop_decl());
-        }
-        let range = self.range;
-        let name = self.name;
-        let out = session.launch(&kernel, || {
-            if !session.executes() {
-                return identity.clone();
-            }
-            let span = telemetry::SpanTimer::start();
-            let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                shadow::unit(shadowing, || body(range.tile(shape, t)))
-            });
-            finish_reduce_span(span, &name, tiles, bytes);
-            out
-        });
-        if shadowing {
-            shadow::end_loop();
-        }
-        out
+        let out = Cell::new(None);
+        let sink = |a| out.set(Some(a));
+        let (kernel, f) = self.launch_body(body, Some(Reduce(identity, combine, sink)));
+        session.launch(&kernel, || f(session));
+        out.take().expect("the launch body delivers its reduction")
     }
 
     /// Row-sliced reduction. `body` is a *fold*: it takes the tile's
@@ -358,99 +350,29 @@ impl ParLoop {
     where
         A: Send + Sync + Clone,
     {
-        let mut kernel = self.kernel();
-        kernel.footprint.reductions = 1;
-        let bytes = kernel.footprint.effective_bytes;
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let shadowing = session.shadowed();
-        if shadowing {
-            shadow::begin_loop(self.loop_decl());
-        }
-        let range = self.range;
-        let name = self.name;
-        let out = session.launch(&kernel, || {
-            if !session.executes() {
-                return identity.clone();
-            }
-            let span = telemetry::SpanTimer::start();
-            let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                shadow::unit(shadowing, || {
-                    let mut acc = identity.clone();
-                    for row in range.tile(shape, t).rows() {
-                        acc = body(acc, row);
-                    }
-                    acc
-                })
-            });
-            finish_reduce_span(span, &name, tiles, bytes);
-            out
-        });
-        if shadowing {
-            shadow::end_loop();
-        }
-        out
+        let tile_body = fold_rows(identity.clone(), body);
+        self.run_reduce(session, identity, combine, tile_body)
     }
 
     /// Record this loop into a launch graph instead of launching it.
     ///
     /// The mirror of [`ParLoop::run`]: the same kernel descriptor is
     /// priced through the same cache, and on every
-    /// [`LaunchGraph::replay`](sycl_sim::LaunchGraph::replay) the body
-    /// runs over the identical tile decomposition — so eager and
-    /// replayed ledgers are bit-identical. Shadow bracketing is
-    /// evaluated at replay time, inside the recorded body, against the
-    /// replaying session.
+    /// [`LaunchGraph::replay`](sycl_sim::LaunchGraph::replay) the same
+    /// launch body runs over the identical tile decomposition — so eager
+    /// and replayed ledgers are bit-identical. Shadow bracketing is
+    /// evaluated at replay time, inside the body, against the replaying
+    /// session.
     pub fn record<'a>(self, g: &mut GraphBuilder<'a>, body: impl Fn(Range3) + Sync + 'a) {
-        let kernel = self.kernel();
         let meta = self.launch_meta();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let decl = self.loop_decl();
-        let range = self.range;
-        g.launch_with_meta(&kernel, meta, move |session| {
-            let shadowing = session.shadowed();
-            if shadowing {
-                shadow::begin_loop(decl.clone());
-            }
-            if session.executes() {
-                global_pool().run_region(tiles, |_lane, t| {
-                    shadow::unit(shadowing, || body(range.tile(shape, t)));
-                });
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
-        });
+        let (kernel, f) = self.launch_body(body, NO_REDUCE);
+        g.launch_with_meta(&kernel, meta, f);
     }
 
     /// Record the row-sliced fast path into a launch graph; the replay
     /// mirror of [`ParLoop::run_rows`].
     pub fn record_rows<'a>(self, g: &mut GraphBuilder<'a>, body: impl Fn(Row) + Sync + 'a) {
-        let kernel = self.kernel();
-        let meta = self.launch_meta();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let decl = self.loop_decl();
-        let range = self.range;
-        g.launch_with_meta(&kernel, meta, move |session| {
-            let shadowing = session.shadowed();
-            if shadowing {
-                shadow::begin_loop(decl.clone());
-            }
-            if session.executes() {
-                global_pool().run_region(tiles, |_lane, t| {
-                    shadow::unit(shadowing, || {
-                        for row in range.tile(shape, t).rows() {
-                            body(row);
-                        }
-                    });
-                });
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
-        });
+        self.record(g, each_row(body));
     }
 
     /// Record a reducing loop into a launch graph; the replay mirror of
@@ -471,34 +393,9 @@ impl ParLoop {
     ) where
         A: Send + Sync + Clone + 'a,
     {
-        let mut kernel = self.kernel();
-        kernel.footprint.reductions = 1;
-        let bytes = kernel.footprint.effective_bytes;
         let meta = self.launch_meta();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let decl = self.loop_decl();
-        let range = self.range;
-        let name = self.name;
-        g.launch_with_meta(&kernel, meta, move |session| {
-            let shadowing = session.shadowed();
-            if shadowing {
-                shadow::begin_loop(decl.clone());
-            }
-            if !session.executes() {
-                sink(identity.clone());
-            } else {
-                let span = telemetry::SpanTimer::start();
-                let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                    shadow::unit(shadowing, || body(range.tile(shape, t)))
-                });
-                finish_reduce_span(span, &name, tiles, bytes);
-                sink(out);
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
-        });
+        let (kernel, f) = self.launch_body(body, Some(Reduce(identity, combine, sink)));
+        g.launch_with_meta(&kernel, meta, f);
     }
 
     /// Record a row-sliced reducing loop into a launch graph; the replay
@@ -514,50 +411,38 @@ impl ParLoop {
     ) where
         A: Send + Sync + Clone + 'a,
     {
-        let mut kernel = self.kernel();
-        kernel.footprint.reductions = 1;
-        let bytes = kernel.footprint.effective_bytes;
-        let meta = self.launch_meta();
-        let shape = exec_tile(&self.range);
-        let tiles = self.range.tile_count(shape);
-        let decl = self.loop_decl();
-        let range = self.range;
-        let name = self.name;
-        g.launch_with_meta(&kernel, meta, move |session| {
-            let shadowing = session.shadowed();
-            if shadowing {
-                shadow::begin_loop(decl.clone());
-            }
-            if !session.executes() {
-                sink(identity.clone());
-            } else {
-                let span = telemetry::SpanTimer::start();
-                let out = global_pool().reduce_chunks(tiles, identity.clone(), &combine, |t| {
-                    shadow::unit(shadowing, || {
-                        let mut acc = identity.clone();
-                        for row in range.tile(shape, t).rows() {
-                            acc = body(acc, row);
-                        }
-                        acc
-                    })
-                });
-                finish_reduce_span(span, &name, tiles, bytes);
-                sink(out);
-            }
-            if shadowing {
-                shadow::end_loop();
-            }
-        });
+        let tile_body = fold_rows(identity.clone(), body);
+        self.record_reduce(g, identity, combine, tile_body, sink);
     }
 }
 
-/// Record a `ReduceSpan` named `<kernel>.reduce` carrying the tile count
-/// and the loop's effective bytes. The format allocates only when a span
-/// was actually taken (telemetry enabled).
-fn finish_reduce_span(span: Option<telemetry::SpanTimer>, kernel: &str, tiles: usize, bytes: f64) {
-    if let Some(t) = span {
-        let label: std::sync::Arc<str> = format!("{kernel}.reduce").into();
-        t.finish(telemetry::SpanKind::Reduce, label, tiles as u64, bytes);
+/// A loop's reduction, `(identity, combine, sink)`: tile partials fold
+/// from the identity with `combine`, and the result goes to the sink.
+struct Reduce<A, C, S>(A, C, S);
+
+/// The reduction slot of a loop that does not reduce.
+const NO_REDUCE: Option<NoReduce> = None;
+type NoReduce = Reduce<(), fn((), ()), fn(())>;
+
+/// Adapt a row body into a tile body that runs it on each of the tile's
+/// rows in order.
+fn each_row(body: impl Fn(Row)) -> impl Fn(Range3) {
+    move |tile| {
+        for row in tile.rows() {
+            body(row);
+        }
+    }
+}
+
+/// Adapt a row fold into a tile body: the tile's rows fold from
+/// `identity` in order, the operation sequence of a per-point body.
+fn fold_rows<A: Clone>(identity: A, body: impl Fn(A, Row) -> A) -> impl Fn(Range3) -> A {
+    move |tile| {
+        let mut acc = identity.clone();
+        for row in tile.rows() {
+            acc = body(acc, row);
+        }
+        acc
     }
 }
 
@@ -565,7 +450,7 @@ fn finish_reduce_span(span: Option<telemetry::SpanTimer>, kernel: &str, tiles: u
 mod tests {
     use super::*;
     use crate::block::Block;
-    use crate::dat::Dat;
+    use crate::dat::{Dat, ReadView, WriteView};
     use sycl_sim::{PlatformId, SessionConfig, Toolchain};
 
     fn session() -> Session {
@@ -801,83 +686,149 @@ mod tests {
         assert_eq!(r1.tile_count(exec_tile(&r1)), 1024);
     }
 
+    /// The bodies of one iteration of the replay test, over views of
+    /// its dats: a per-point stencil write, a row-sliced update, and a
+    /// per-point and a row-sliced reduction.
+    #[allow(clippy::type_complexity)]
+    fn iteration_bodies<'v>(
+        u: ReadView<'v, f64>,
+        v: WriteView<'v, f64>,
+    ) -> (
+        impl Fn(Range3) + Sync + 'v,
+        impl Fn(Row) + Sync + 'v,
+        impl Fn(Range3) -> f64 + Sync + 'v,
+        impl Fn(f64, Row) -> f64 + Sync + 'v,
+    ) {
+        let smooth = move |tile: Range3| {
+            for (i, j, k) in tile.iter() {
+                let sum = u.at(i - 1, j, k) + u.at(i + 1, j, k) + u.at(i, j - 1, k);
+                v.set(i, j, k, 0.25 * (sum + u.at(i, j + 1, k)));
+            }
+        };
+        let scale = move |row: Row| {
+            for x in v.row_mut(row) {
+                *x *= 1.1;
+            }
+        };
+        let sum = move |tile: Range3| {
+            let mut t = 0.0;
+            for (i, j, k) in tile.iter() {
+                t += v.get(i, j, k);
+            }
+            t
+        };
+        let sum_rows = move |acc: f64, row: Row| {
+            let mut t = acc;
+            for &x in v.row(row) {
+                t += x;
+            }
+            t
+        };
+        (smooth, scale, sum, sum_rows)
+    }
+
     #[test]
     fn recorded_loops_replay_bit_identically_to_eager_runs() {
         use std::sync::atomic::{AtomicU64, Ordering};
 
-        let build = |u: &mut Dat<f64>| {
-            u.fill_with(|i, j, _| ((i * 31 + j * 7) % 13) as f64 * 0.1);
-        };
-
         let b = Block::new_2d(48, 36, 1);
+        let fields = || {
+            let mut u = Dat::<f64>::zeroed(&b, "u");
+            u.fill_with(|i, j, _| (0.37 * i as f64 + 0.11 * j as f64).sin());
+            (u, Dat::<f64>::zeroed(&b, "v"))
+        };
+        // One declaration per entry-point pair, shared by both sides.
+        let smooth = |u: DatMeta, v: DatMeta| {
+            ParLoop::new("smooth", b.interior())
+                .read(u, Stencil::star_2d(1))
+                .write(v)
+                .flops(4.0)
+        };
+        let scale = |v: DatMeta| ParLoop::new("scale_rows", b.interior()).read_write(v);
+        let sum =
+            |name: &str, v: DatMeta| ParLoop::new(name, b.interior()).read(v, Stencil::point());
+        let add = |a: f64, b: f64| a + b;
+
         let eager = session();
-        let mut ue = Dat::<f64>::zeroed(&b, "u");
-        build(&mut ue);
+        let (ue, mut ve) = fields();
         let mut eager_sums = Vec::new();
-        for _ in 0..3 {
-            let meta = ue.meta();
-            let r = ue.reader();
-            ParLoop::new("touch", b.interior())
-                .read(meta, Stencil::point())
-                .run_rows(&eager, |row| {
-                    let _ = r.row(row);
-                });
-            let total = ParLoop::new("sum", b.interior())
-                .read(meta, Stencil::point())
-                .run_reduce(
-                    &eager,
-                    0.0f64,
-                    |a, b| a + b,
-                    |tile| {
-                        let mut t = 0.0;
-                        for (i, j, k) in tile.iter() {
-                            t += r.at(i, j, k);
-                        }
-                        t
-                    },
-                );
-            eager_sums.push(total.to_bits());
+        {
+            let (um, vm) = (ue.meta(), ve.meta());
+            let (smooth_b, scale_b, sum_b, sum_rows_b) = iteration_bodies(ue.reader(), ve.writer());
+            for _ in 0..3 {
+                smooth(um, vm).run(&eager, &smooth_b);
+                scale(vm).run_rows(&eager, &scale_b);
+                let by_tile = sum("sum", vm).run_reduce(&eager, 0.0, add, &sum_b);
+                let by_row = sum("sum_rows", vm).run_rows_reduce(&eager, 0.0, add, &sum_rows_b);
+                eager_sums.push([by_tile.to_bits(), by_row.to_bits()]);
+            }
         }
 
         let replayed = session();
-        let mut ur = Dat::<f64>::zeroed(&b, "u");
-        build(&mut ur);
-        let meta = ur.meta();
-        let r = ur.reader();
-        let cell = AtomicU64::new(0);
-        let mut g = replayed.record();
-        ParLoop::new("touch", b.interior())
-            .read(meta, Stencil::point())
-            .record_rows(&mut g, |row| {
-                let _ = r.row(row);
-            });
-        ParLoop::new("sum", b.interior())
-            .read(meta, Stencil::point())
-            .record_reduce(
-                &mut g,
-                0.0f64,
-                |a, b| a + b,
-                |tile| {
-                    let mut t = 0.0;
-                    for (i, j, k) in tile.iter() {
-                        t += r.at(i, j, k);
-                    }
-                    t
-                },
-                |total| cell.store(total.to_bits(), Ordering::Relaxed),
-            );
-        let graph = g.finish();
+        let (ur, mut vr) = fields();
         let mut replay_sums = Vec::new();
-        for _ in 0..3 {
-            graph.replay(&replayed);
-            replay_sums.push(cell.load(Ordering::Relaxed));
+        {
+            let (um, vm) = (ur.meta(), vr.meta());
+            let (smooth_b, scale_b, sum_b, sum_rows_b) = iteration_bodies(ur.reader(), vr.writer());
+            let (tile_cell, row_cell) = (AtomicU64::new(0), AtomicU64::new(0));
+            let tile_sink = |t: f64| tile_cell.store(t.to_bits(), Ordering::Relaxed);
+            let row_sink = |t: f64| row_cell.store(t.to_bits(), Ordering::Relaxed);
+            let mut g = replayed.record();
+            smooth(um, vm).record(&mut g, &smooth_b);
+            scale(vm).record_rows(&mut g, &scale_b);
+            sum("sum", vm).record_reduce(&mut g, 0.0, add, &sum_b, tile_sink);
+            sum("sum_rows", vm).record_rows_reduce(&mut g, 0.0, add, &sum_rows_b, row_sink);
+            let graph = g.finish();
+            for _ in 0..3 {
+                graph.replay(&replayed);
+                let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                replay_sums.push([load(&tile_cell), load(&row_cell)]);
+            }
         }
 
         assert_eq!(eager_sums, replay_sums, "reduction results must match");
+        for (i, j, k) in b.interior().iter() {
+            assert_eq!(
+                ve.at(i, j, k).to_bits(),
+                vr.at(i, j, k).to_bits(),
+                "({i},{j},{k})"
+            );
+        }
         assert_eq!(
             eager.ledger_digest(),
             replayed.ledger_digest(),
             "eager and replayed ledgers must be bit-identical"
+        );
+    }
+
+    #[test]
+    fn a_reduction_is_open_in_the_flight_recording_while_its_tiles_run() {
+        // The reduce span guard writes its flight open before the tiles
+        // fold; stopping the recording inside the (single) tile stands
+        // in for a crash there.
+        let s = session();
+        let b = Block::new_2d(4, 4, 1);
+        let u = Dat::<f64>::zeroed(&b, "u");
+        let path = std::env::temp_dir().join(format!("flight-reduce-{}.bin", std::process::id()));
+        telemetry::flight::start(&path, 0, "parloop-test").unwrap();
+        ParLoop::new("flight_sum", b.interior())
+            .read(u.meta(), Stencil::point())
+            .run_reduce(
+                &s,
+                0.0,
+                |a, b| a + b,
+                |_| {
+                    telemetry::flight::stop();
+                    0.0
+                },
+            );
+        let rec = telemetry::FlightRecording::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let open = rec.open_spans();
+        assert!(
+            open.iter()
+                .any(|&(kind, name, _)| kind == SpanKind::Reduce && name == "flight_sum.reduce"),
+            "{open:?}"
         );
     }
 

@@ -18,9 +18,13 @@
 //! * The calling thread participates in the region, so `ThreadPool::new(n)`
 //!   spawns `n - 1` workers and the caller is the final lane.
 //! * Reductions are **deterministic**: each chunk writes a partial into its
-//!   own slot and partials are combined in a fixed pairwise tree, so results
-//!   do not depend on thread scheduling. This mirrors the "user-defined
-//!   binary tree reductions" the paper had to use for SYCL on CPUs.
+//!   own slot of a reusable per-pool arena and partials are combined in a
+//!   fixed pairwise tree, so results do not depend on thread scheduling.
+//!   This mirrors the "user-defined binary tree reductions" the paper had
+//!   to use for SYCL on CPUs. [`ThreadPool::reduce_chunks`] is the one
+//!   implementation: every DSL reduction (the OPS tile folds and the OP2
+//!   direct-loop chunk folds, eager or replayed) goes through it, so the
+//!   slot writes and the combine tree live only here.
 //! * Panics inside a region are caught on worker threads and re-thrown on
 //!   the caller after the region completes, keeping the pool reusable.
 //! * When the [`telemetry`] subsystem is enabled, every region records a
@@ -51,8 +55,6 @@ pub mod sync;
 
 pub use pool::{PoolConfig, Schedule, ThreadPool};
 pub use range::{split_evenly, Chunks, Tile2, Tile3};
-pub use reduce::tree_combine;
-pub use slice::DisjointSlices;
 
 use std::sync::OnceLock;
 

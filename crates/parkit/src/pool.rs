@@ -364,8 +364,8 @@ impl ThreadPool {
     /// Deterministic parallel reduction over `0..total`.
     ///
     /// `map` folds one chunk's index range into a partial; partials are
-    /// combined in a fixed pairwise tree (see [`crate::tree_combine`]),
-    /// making the result independent of scheduling.
+    /// combined in a fixed pairwise tree whose shape depends only on the
+    /// chunk count, making the result independent of scheduling.
     pub fn reduce<T, M, C>(&self, total: usize, grain: usize, identity: T, combine: C, map: M) -> T
     where
         T: Send + Clone,

@@ -6,7 +6,11 @@
 /// timing, so floating-point reductions are bit-reproducible for a given
 /// chunking. This is exactly the "user-defined binary tree reduction" the
 /// paper fell back to when SYCL 2020 built-in reductions were unavailable.
-pub fn tree_combine<T, C>(partials: impl IntoIterator<Item = T>, identity: T, combine: &C) -> T
+pub(crate) fn tree_combine<T, C>(
+    partials: impl IntoIterator<Item = T>,
+    identity: T,
+    combine: &C,
+) -> T
 where
     T: Clone,
     C: Fn(T, T) -> T,

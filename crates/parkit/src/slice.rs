@@ -1,4 +1,5 @@
-//! Unsafe-but-encapsulated helpers for disjoint concurrent writes.
+//! The unsafe-but-encapsulated pointer behind the pool's disjoint
+//! concurrent writes.
 
 /// A raw pointer that asserts Send/Sync so it can be captured by a
 /// parallel-region closure. Safe use requires the caller to guarantee
@@ -22,90 +23,5 @@ impl<T> SendPtr<T> {
     /// closure `Sync`.
     pub(crate) fn get(self) -> *mut T {
         self.0
-    }
-}
-
-/// Shared view of a slice allowing each index to be written by exactly one
-/// chunk. Used for reduction partials and per-chunk scratch output.
-///
-/// This is the "one writer per slot" pattern: the slice is borrowed mutably
-/// for the lifetime of the view, so no other access can exist, and the
-/// caller promises each `write(i, ..)` index is unique across the region.
-pub struct DisjointSlices<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: the caller contract (unique index per writer) makes concurrent
-// writes race-free; T: Send moves values across lanes.
-unsafe impl<T: Send> Send for DisjointSlices<'_, T> {}
-unsafe impl<T: Send> Sync for DisjointSlices<'_, T> {}
-
-impl<'a, T: Send> DisjointSlices<'a, T> {
-    /// Wrap a mutable slice for disjoint per-index writes.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        DisjointSlices {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Store `value` into slot `index`.
-    ///
-    /// # Safety
-    /// Each `index` must be written by at most one lane during the region,
-    /// and `index < len()`.
-    pub unsafe fn write(&self, index: usize, value: T) {
-        debug_assert!(index < self.len);
-        // SAFETY: per the contract above this is the sole writer of `index`.
-        unsafe { self.ptr.add(index).write(value) };
-    }
-
-    /// Get a mutable reference to slot `index`.
-    ///
-    /// # Safety
-    /// Same contract as [`DisjointSlices::write`]: exclusive per-index use.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self, index: usize) -> &mut T {
-        debug_assert!(index < self.len);
-        // SAFETY: sole accessor of `index` per the contract.
-        unsafe { &mut *self.ptr.add(index) }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ThreadPool;
-
-    #[test]
-    fn disjoint_writes_land_in_their_slots() {
-        let pool = ThreadPool::new(4);
-        let mut out = vec![0usize; 257];
-        let view = DisjointSlices::new(&mut out);
-        pool.run_region(257, |_lane, chunk| unsafe {
-            view.write(chunk, chunk * 3);
-        });
-        assert!(out.iter().enumerate().all(|(i, &x)| x == i * 3));
-    }
-
-    #[test]
-    fn len_reports_slot_count() {
-        let mut v = vec![1, 2, 3];
-        let view = DisjointSlices::new(&mut v);
-        assert_eq!(view.len(), 3);
-        assert!(!view.is_empty());
     }
 }

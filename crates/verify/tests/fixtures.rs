@@ -3,12 +3,14 @@
 //!
 //! Each fixture plants exactly one defect — a tampered colouring plan,
 //! an under-declared stencil, an undeclared write — and asserts the
-//! corresponding pass reports it as an Error naming the kernel.
+//! corresponding pass reports it as an Error naming the kernel. The
+//! access fixtures run both eagerly and as a recorded graph replay and
+//! must report the same diagnostics either way.
 
 use op2_dsl::{GlobalColoring, HierColoring, Mesh, Ordering};
 use ops_dsl::prelude::*;
 use sycl_sim::{PlatformId, Session, SessionConfig, Toolchain};
-use verify::{has_errors, Pass, Severity, Verifier};
+use verify::{has_errors, Diagnostic, Pass, Severity, Verifier};
 
 fn live(app: &str) -> Session {
     Session::create(SessionConfig::new(PlatformId::A100, Toolchain::NativeCuda).app(app)).unwrap()
@@ -79,8 +81,29 @@ fn a_tampered_hierarchical_colouring_is_a_plan_error() {
     );
 }
 
-#[test]
-fn an_under_declared_stencil_is_an_access_error_naming_the_kernel() {
+/// Launch `lp` eagerly or, with `replay`, as a one-launch recorded graph
+/// replayed once.
+fn launch(s: &Session, lp: ParLoop, replay: bool, body: impl Fn(Range3) + Sync) {
+    if replay {
+        let mut g = s.record();
+        lp.record(&mut g, body);
+        g.finish().replay(s);
+    } else {
+        lp.run(s, body);
+    }
+}
+
+/// Run an access fixture eagerly and as a recorded graph replay. Both
+/// paths open the shadow bracket inside the same launch body, so they
+/// must report the same diagnostics; returns them.
+fn eager_and_replayed(fixture: fn(bool) -> Vec<Diagnostic>) -> Vec<Diagnostic> {
+    let eager = fixture(false);
+    let replayed = fixture(true);
+    assert_eq!(format!("{eager:?}"), format!("{replayed:?}"));
+    eager
+}
+
+fn under_declared_stencil(replay: bool) -> Vec<Diagnostic> {
     let s = live("fixture_stencil");
     let block = Block::new_3d(8, 8, 1, 2);
     // Dats allocated before attach are invisible to the shadow pass, so
@@ -94,17 +117,22 @@ fn an_under_declared_stencil_is_an_access_error_naming_the_kernel() {
         let r = a.reader();
         let w = b.writer();
         // Declared as a point read of `a`, but the body reads i+1.
-        ParLoop::new("bad_stencil", block.interior())
+        let lp = ParLoop::new("bad_stencil", block.interior())
             .read(a.meta(), Stencil::point())
             .write(bm)
-            .flops(1.0)
-            .run(&s, |tile| {
-                for (i, j, k) in tile.iter() {
-                    w.set(i, j, k, r.at(i + 1, j, k));
-                }
-            });
+            .flops(1.0);
+        launch(&s, lp, replay, |tile| {
+            for (i, j, k) in tile.iter() {
+                w.set(i, j, k, r.at(i + 1, j, k));
+            }
+        });
     }
-    let diags = v.finish(&s);
+    v.finish(&s)
+}
+
+#[test]
+fn an_under_declared_stencil_is_an_access_error_naming_the_kernel() {
+    let diags = eager_and_replayed(under_declared_stencil);
     assert!(has_errors(&diags), "{diags:?}");
     assert!(
         diags.iter().any(|d| d.severity == Severity::Error
@@ -115,8 +143,7 @@ fn an_under_declared_stencil_is_an_access_error_naming_the_kernel() {
     );
 }
 
-#[test]
-fn an_undeclared_write_is_an_access_error_naming_the_kernel() {
+fn undeclared_write(replay: bool) -> Vec<Diagnostic> {
     let s = live("fixture_write");
     let block = Block::new_3d(8, 8, 1, 2);
     let v = Verifier::attach(&s);
@@ -127,16 +154,21 @@ fn an_undeclared_write_is_an_access_error_naming_the_kernel() {
         let r = a.reader();
         let w = b.writer();
         // `b` is written but never declared at all.
-        ParLoop::new("sneaky_write", block.interior())
+        let lp = ParLoop::new("sneaky_write", block.interior())
             .read(a.meta(), Stencil::point())
-            .flops(1.0)
-            .run(&s, |tile| {
-                for (i, j, k) in tile.iter() {
-                    w.set(i, j, k, 2.0 * r.at(i, j, k));
-                }
-            });
+            .flops(1.0);
+        launch(&s, lp, replay, |tile| {
+            for (i, j, k) in tile.iter() {
+                w.set(i, j, k, 2.0 * r.at(i, j, k));
+            }
+        });
     }
-    let diags = v.finish(&s);
+    v.finish(&s)
+}
+
+#[test]
+fn an_undeclared_write_is_an_access_error_naming_the_kernel() {
+    let diags = eager_and_replayed(undeclared_write);
     assert!(has_errors(&diags), "{diags:?}");
     assert!(
         diags.iter().any(|d| d.severity == Severity::Error
@@ -147,8 +179,7 @@ fn an_undeclared_write_is_an_access_error_naming_the_kernel() {
     );
 }
 
-#[test]
-fn a_correctly_declared_loop_passes_clean() {
+fn correctly_declared(replay: bool) -> Vec<Diagnostic> {
     let s = live("fixture_clean");
     let block = Block::new_3d(8, 8, 1, 2);
     let v = Verifier::attach(&s);
@@ -160,21 +191,24 @@ fn a_correctly_declared_loop_passes_clean() {
         let bm = b.meta();
         let r = a.reader();
         let w = b.writer();
-        ParLoop::new("good_stencil", block.interior())
+        let lp = ParLoop::new("good_stencil", block.interior())
             .read(a.meta(), Stencil::star_2d(1))
             .write(bm)
-            .flops(4.0)
-            .run(&s, |tile| {
-                for (i, j, k) in tile.iter() {
-                    let sum = r.at(i + 1, j, k)
-                        + r.at(i - 1, j, k)
-                        + r.at(i, j + 1, k)
-                        + r.at(i, j - 1, k);
-                    w.set(i, j, k, 0.25 * sum);
-                }
-            });
+            .flops(4.0);
+        launch(&s, lp, replay, |tile| {
+            for (i, j, k) in tile.iter() {
+                let sum =
+                    r.at(i + 1, j, k) + r.at(i - 1, j, k) + r.at(i, j + 1, k) + r.at(i, j - 1, k);
+                w.set(i, j, k, 0.25 * sum);
+            }
+        });
     }
-    let diags = v.finish(&s);
+    v.finish(&s)
+}
+
+#[test]
+fn a_correctly_declared_loop_passes_clean() {
+    let diags = eager_and_replayed(correctly_declared);
     assert!(
         diags.iter().all(|d| d.severity < Severity::Error),
         "a correct loop must not error: {diags:?}"
